@@ -41,6 +41,8 @@ volatile long benchmark_sink = 0;
 void Main(const BenchConfig& config) {
   // Opened up front: a bad --json path must fail before the run, not after.
   JsonReport report(config, "mmap_serve");
+  // Every archive this run writes lives here, removed on exit.
+  const ScratchDir scratch("fvl_bench_mmap_");
   Workload workload = MakeBioAid(2012);
   auto service = ProvenanceService::Create(workload.spec).value();
 
@@ -71,15 +73,15 @@ void Main(const BenchConfig& config) {
       run_options.target_items = items_per_run;
       run_options.seed = 100 * num_runs + r;
       auto session = service->GenerateLabeledRun(run_options);
-      l0_paths.push_back("/tmp/fvl_bench_mmap_run" + std::to_string(r) +
-                         ".fvlidx");
+      l0_paths.push_back(
+          scratch.File("run" + std::to_string(r) + ".fvlidx"));
       FileHandle out = FileHandle::CreateTruncate(l0_paths.back()).value();
       FVL_CHECK(out.WriteAll(session->Snapshot().Serialize()).ok());
       FVL_CHECK(out.Close().ok());
     }
 
     // L1 compaction, with the store-count probe as the peak-RSS proxy.
-    const std::string l1_path = "/tmp/fvl_bench_mmap_l1.fvlmrg";
+    const std::string l1_path = scratch.File("l1.fvlmrg");
     int compact_peak = 0;
     double compact_ms = TimeMs([&] {
       const int base = internal::StoreCountProbe::live();

@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -114,6 +116,36 @@ class JsonReport {
   std::string benchmark_;
   std::string tables_;
   std::FILE* file_ = nullptr;
+};
+
+// A private directory for one bench run's files: created with mkdtemp under
+// $TMPDIR (default /tmp) and removed, with everything in it, when the
+// object goes out of scope. Two runs that overlap never share a path.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix) {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string pattern = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
+    pattern += "/" + prefix + "XXXXXX";
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      std::fprintf(stderr, "cannot create a scratch directory %s\n",
+                   pattern.c_str());
+      std::exit(1);
+    }
+    path_ = std::move(pattern);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  // Path of `name` inside the directory.
+  std::string File(const std::string& name) const { return path_ + "/" + name; }
+
+ private:
+  std::string path_;
 };
 
 // Average and maximum encoded data-label length over a labeled run.

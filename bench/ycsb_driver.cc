@@ -148,6 +148,9 @@ WorkerResult RunWorker(int port, uint64_t view_id, uint64_t index_id,
 void Main(const BenchConfig& config) {
   // Opened up front: a bad --json path must fail before the run, not after.
   JsonReport report(config, "ycsb");
+  // This run's archive files; declared before the server so the directory
+  // outlives every mapping the server holds into it.
+  const ScratchDir archive_dir("fvl_ycsb_");
 
   Workload workload = MakeBioAid(2012);
   auto service = ProvenanceService::Create(workload.spec).value();
@@ -190,10 +193,8 @@ void Main(const BenchConfig& config) {
   // off the mapping instead of the heap snapshot. The two small runs are
   // also archived and compacted over the wire once, so the LSM path is
   // exercised end-to-end under the same process.
-  const std::string archive_dir = "/tmp";
   auto archive_file = [&](const std::string& name, std::string_view blob) {
-    std::string path = archive_dir + "/fvl_ycsb_" +
-                       std::to_string(server->port()) + "_" + name;
+    std::string path = archive_dir.File(name);
     FileHandle out = FileHandle::CreateTruncate(path).value();
     FVL_CHECK(out.WriteAll(blob).ok());
     FVL_CHECK(out.Close().ok());
@@ -213,9 +214,7 @@ void Main(const BenchConfig& config) {
       archive_file("run_b.fvlidx", run_blob(query_items / 8, 32))};
   MergeInfo compacted =
       setup
-          .CompactFiles(compact_inputs,
-                        archive_dir + "/fvl_ycsb_" +
-                            std::to_string(server->port()) + "_l1.fvlmrg")
+          .CompactFiles(compact_inputs, archive_dir.File("l1.fvlmrg"))
           .value();
   FVL_CHECK(compacted.num_runs == 2);
   std::vector<uint64_t> run_index_ids = {merge_run_a.index_id,

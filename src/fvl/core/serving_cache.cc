@@ -9,8 +9,11 @@ namespace {
 // Decoded labels are the expensive entries (two PortLabel paths, heap
 // vectors), so the label cache stops growing at 8k slots; memo entries are
 // tens of bytes, so the memo covers a multiple of the snapshot before its
-// own (larger) cap. Both caps keep a per-snapshot cache comfortably under a
-// few MB even for the largest indexes the benches build.
+// own (larger) cap. Both caps keep a queried snapshot's cache comfortably
+// under a few MB even for the largest indexes the benches build. These are
+// upper bounds, not up-front costs: ShardedCache allocates a shard's slots
+// on its first insert, so a snapshot or delta that is never queried holds
+// only shard headers.
 constexpr int kMaxLabelSlots = 8192;
 constexpr int kMaxReachSlots = 1 << 15;
 constexpr int kMinReachSlots = 64;
@@ -38,6 +41,7 @@ ServingCacheStats ServingCache::stats() const {
   s.label_misses = labels.misses;
   s.reach_hits = reach.hits;
   s.reach_misses = reach.misses;
+  s.resident_bytes = labels.resident_bytes + reach.resident_bytes;
   return s;
 }
 

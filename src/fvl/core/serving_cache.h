@@ -92,6 +92,10 @@ struct ServingCacheStats {
   uint64_t label_misses = 0;
   uint64_t reach_hits = 0;
   uint64_t reach_misses = 0;
+  // Slot storage both caches have allocated so far: zero until the
+  // snapshot's first query (ShardedCacheStats::resident_bytes). In-process
+  // only; the kStats wire op does not carry it.
+  uint64_t resident_bytes = 0;
 
   double LabelHitRate() const {
     const uint64_t total = label_hits + label_misses;
@@ -108,6 +112,8 @@ class ServingCache {
   // Capacities are sized from the snapshot: the label cache covers the
   // whole snapshot up to a cap (labels are a few hundred bytes decoded),
   // the memo covers a multiple of it (entries are a few dozen bytes).
+  // Slots are allocated shard by shard as queries insert into them, so
+  // constructing the cache costs O(shards), not O(num_items).
   explicit ServingCache(int num_items);
 
   ServingCache(const ServingCache&) = delete;

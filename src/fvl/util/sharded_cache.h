@@ -4,9 +4,12 @@
 //
 // Design constraints, in order:
 //
-//   1. Bounded memory. Capacity is fixed at construction; no entry is ever
-//      heap-chained. A cache sized for an index costs O(capacity) once and
-//      never grows, so giving every frozen snapshot its own cache keeps the
+//   1. Bounded memory, paid on first use. Capacity is fixed at
+//      construction; no entry is ever heap-chained. Construction costs
+//      O(shards): a shard allocates its slots on its first Insert and
+//      never grows past them, so a cache costs at most O(capacity), and a
+//      frozen snapshot that is never queried costs only its shard headers.
+//      Giving every snapshot and delta its own cache therefore keeps the
 //      O(delta) snapshot contract intact.
 //   2. Skew-friendly admission. Each slot carries a small frequency
 //      counter: hits increment it, and an insert that collides with a
@@ -45,6 +48,9 @@ struct ShardedCacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;  // slots installed or refreshed
   uint64_t rejections = 0;  // inserts refused by the admission policy
+  // Slot storage allocated so far (shards touched by an Insert); excludes
+  // heap memory owned by the cached values themselves.
+  uint64_t resident_bytes = 0;
 
   double HitRate() const {
     const uint64_t total = hits + misses;
@@ -64,7 +70,7 @@ class ShardedCache {
         capacity <= 0 ? 0 : (capacity + shards - 1) / shards;
     shards_.reserve(shards);
     for (int s = 0; s < shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>(slots_per_shard_));
+      shards_.push_back(std::make_unique<Shard>());
     }
   }
 
@@ -77,15 +83,17 @@ class ShardedCache {
 
   // Copies the resident value into *out and returns true on a hit; a hit
   // also bumps the slot's frequency (capped), which is what makes the
-  // resident resistant to eviction by colliding cold keys.
+  // resident resistant to eviction by colliding cold keys. A shard no
+  // Insert has touched yet (every shard of a zero-capacity cache) misses
+  // without allocating.
   bool Lookup(const Key& key, Value* out) const {
-    if (slots_per_shard_ == 0) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
     const uint64_t h = Mix(static_cast<uint64_t>(Hash{}(key)));
     Shard& shard = *shards_[h % shards_.size()];
     MutexLock lock(&shard.mu);
+    if (shard.slots.empty()) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
     Slot& slot = shard.slots[(h / shards_.size()) % slots_per_shard_];
     if (slot.occupied && slot.key == key) {
       *out = slot.value;
@@ -101,12 +109,18 @@ class ShardedCache {
   // key refreshes it. A slot holding a *different* key applies second
   // chance: the resident's frequency is decremented and the insert is
   // rejected until the counter reaches zero — a key must collide repeatedly
-  // (i.e. actually be warm) to displace an established resident.
+  // (i.e. actually be warm) to displace an established resident. The
+  // first Insert into a shard allocates that shard's slots.
   void Insert(const Key& key, const Value& value) {
     if (slots_per_shard_ == 0) return;
     const uint64_t h = Mix(static_cast<uint64_t>(Hash{}(key)));
     Shard& shard = *shards_[h % shards_.size()];
     MutexLock lock(&shard.mu);
+    if (shard.slots.empty()) {
+      shard.slots.resize(slots_per_shard_);
+      resident_bytes_.fetch_add(slots_per_shard_ * sizeof(Slot),
+                                std::memory_order_relaxed);
+    }
     Slot& slot = shard.slots[(h / shards_.size()) % slots_per_shard_];
     if (slot.occupied && slot.key == key) {
       slot.value = value;
@@ -132,6 +146,7 @@ class ShardedCache {
     s.misses = misses_.load(std::memory_order_relaxed);
     s.insertions = insertions_.load(std::memory_order_relaxed);
     s.rejections = rejections_.load(std::memory_order_relaxed);
+    s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -148,8 +163,8 @@ class ShardedCache {
   };
 
   struct Shard {
-    explicit Shard(int slots_count) : slots(slots_count) {}
     mutable Mutex mu;
+    // Empty until the shard's first Insert, then exactly slots_per_shard_.
     std::vector<Slot> slots FVL_GUARDED_BY(mu);
   };
 
@@ -171,6 +186,7 @@ class ShardedCache {
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};
   std::atomic<uint64_t> rejections_{0};
+  std::atomic<uint64_t> resident_bytes_{0};
 };
 
 }  // namespace fvl

@@ -6,9 +6,12 @@
 // with the same error behavior.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "fvl/core/index.h"
 #include "fvl/core/serving_cache.h"
 #include "fvl/service/provenance_service.h"
+#include "fvl/util/file.h"
 #include "fvl/util/random.h"
 #include "fvl/util/sharded_cache.h"
 #include "fvl/workload/paper_example.h"
@@ -379,6 +383,142 @@ TEST(CacheDifferential, ErrorBehaviorMatchesUncached) {
     EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
   }
   service->set_serving_cache_enabled(true);
+}
+
+// ----- First-use allocation: slot storage appears only when inserted. -----
+
+TEST(ShardedCacheLazy, UntouchedCacheHoldsNoSlotStorage) {
+  ShardedCache<int, int> cache(1 << 15);
+  EXPECT_EQ(cache.capacity(), 1 << 15);
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
+TEST(ShardedCacheLazy, LookupsOnUntouchedShardsMissWithoutAllocating) {
+  ShardedCache<int, int> cache(4096);
+  int out = 0;
+  for (int key = 0; key < 1000; ++key) EXPECT_FALSE(cache.Lookup(key, &out));
+  const ShardedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1000u);
+  EXPECT_EQ(stats.resident_bytes, 0u);
+}
+
+TEST(ShardedCacheLazy, FirstInsertAllocatesOnlyItsShard) {
+  // Capacity 4096 is split over 16 shards of 256 slots.
+  ShardedCache<int, int> cache(4096);
+  cache.Insert(7, 70);
+  const uint64_t one_shard = cache.stats().resident_bytes;
+  EXPECT_GT(one_shard, 0u);
+  int out = 0;
+  ASSERT_TRUE(cache.Lookup(7, &out));
+  EXPECT_EQ(out, 70);
+
+  // More inserts into the same shard (the same key) allocate nothing more.
+  cache.Insert(7, 71);
+  EXPECT_EQ(cache.stats().resident_bytes, one_shard);
+
+  // Enough distinct keys touch every shard, and each shard exactly once.
+  for (int key = 0; key < 4096; ++key) cache.Insert(key, 2 * key);
+  EXPECT_EQ(cache.stats().resident_bytes, 16 * one_shard);
+
+  // A zero-capacity cache never allocates, even when inserted into.
+  ShardedCache<int, int> empty(0);
+  empty.Insert(1, 10);
+  EXPECT_EQ(empty.stats().resident_bytes, 0u);
+}
+
+TEST(ShardedCacheLazy, RacingFirstUseOfOneShardAllocatesOnce) {
+  // Capacity 64 is one shard, so every thread's first Lookup/Insert races
+  // on the same untouched shard. The shard must be allocated exactly once
+  // (resident bytes equal one shard's), and every hit must still return
+  // the value inserted for its key. The TSan lane runs this too.
+  ShardedCache<int, int> reference(64);
+  reference.Insert(0, 1);
+  const uint64_t one_shard = reference.stats().resident_bytes;
+
+  ShardedCache<int, int> cache(64);
+  constexpr int kThreads = 8;
+  constexpr int kOps = 200;
+  std::atomic<bool> go{false};
+  std::atomic<int64_t> lookups{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &go, &lookups, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      // Even threads start with a Lookup, odd ones with an Insert.
+      for (int i = 0; i < kOps; ++i) {
+        const int key = (t + i) % 32;
+        int value = 0;
+        if ((t + i) % 2 == 0) {
+          if (cache.Lookup(key, &value)) {
+            ASSERT_EQ(value, 2 * key + 1);
+          }
+          lookups.fetch_add(1);
+        } else {
+          cache.Insert(key, 2 * key + 1);
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  const ShardedCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.resident_bytes, one_shard);
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(lookups.load()));
+  EXPECT_GT(stats.insertions, 0u);
+}
+
+TEST(ServingCacheLazy, FreshlyFrozenIndexesHoldNoCacheSlotsUntilQueried) {
+  PaperExample ex = MakePaperExample();
+  auto service = ProvenanceService::Create(ex.spec).value();
+  RunGeneratorOptions options;
+  options.target_items = 200;
+  options.seed = 13;
+  auto session = service->GenerateLabeledRun(options);
+
+  auto resident = [](const ServingCache* cache) {
+    EXPECT_NE(cache, nullptr);
+    return cache == nullptr ? uint64_t{0} : cache->stats().resident_bytes;
+  };
+
+  ProvenanceIndex delta = session->SnapshotDelta();
+  ProvenanceIndex snapshot = session->Snapshot();
+  ProvenanceIndex deserialized =
+      ProvenanceIndex::Deserialize(snapshot.Serialize()).value();
+  const std::string path = ::testing::TempDir() + "/fvl_cache_test_lazy_" +
+                           std::to_string(::getpid()) + ".fvlidx";
+  {
+    FileHandle out = FileHandle::CreateTruncate(path).value();
+    ASSERT_TRUE(out.WriteAll(snapshot.Serialize()).ok());
+    ASSERT_TRUE(out.Close().ok());
+  }
+  ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
+  std::filesystem::remove(path);  // the mapping keeps the contents alive
+  ProvenanceIndex reassembled = ProvenanceIndex::FromDeltas({&delta, 1}).value();
+  MergedProvenanceIndex merged =
+      ProvenanceIndex::Merge({&snapshot, 1}).value();
+
+  EXPECT_EQ(resident(snapshot.serving_cache()), 0u);
+  EXPECT_EQ(resident(delta.serving_cache()), 0u);
+  EXPECT_EQ(resident(deserialized.serving_cache()), 0u);
+  EXPECT_EQ(resident(mapped.serving_cache()), 0u);
+  EXPECT_EQ(resident(reassembled.serving_cache()), 0u);
+  EXPECT_EQ(resident(merged.serving_cache()), 0u);
+
+  // The first query allocates the queried index's cache, and only its.
+  const auto queries = RandomQueries(snapshot.num_items(), 64, 31);
+  const std::vector<bool> answers =
+      service->DependsMany(service->default_view(), snapshot, queries).value();
+  EXPECT_GT(resident(snapshot.serving_cache()), 0u);
+  EXPECT_EQ(resident(mapped.serving_cache()), 0u);
+  EXPECT_EQ(resident(deserialized.serving_cache()), 0u);
+
+  // Lazily allocated caches answer exactly as before.
+  EXPECT_EQ(
+      service->DependsMany(service->default_view(), mapped, queries).value(),
+      answers);
+  EXPECT_GT(resident(mapped.serving_cache()), 0u);
 }
 
 }  // namespace
