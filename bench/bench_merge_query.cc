@@ -82,7 +82,7 @@ void Main(const BenchConfig& config) {
       snapshots.push_back(sessions.back()->Snapshot());
     }
 
-    MergedProvenanceIndex merged;
+    ProvenanceIndex merged;
     double merge_ms = TimeMs([&] {
       merged = ProvenanceIndex::Merge(snapshots).value();
     });
@@ -102,13 +102,12 @@ void Main(const BenchConfig& config) {
       for (const std::string& blob : blobs) {
         materialized.push_back(ProvenanceIndex::Deserialize(blob).value());
       }
-      MergedProvenanceIndex from_blobs =
-          ProvenanceIndex::Merge(materialized).value();
-      benchmark_sink = benchmark_sink + from_blobs.total_items();
+      ProvenanceIndex from_blobs = ProvenanceIndex::Merge(materialized).value();
+      benchmark_sink = benchmark_sink + from_blobs.num_items();
       mat_peak = internal::StoreCountProbe::peak() - base;
     });
     int stream_peak = 0;
-    MergedProvenanceIndex streamed;
+    ProvenanceIndex streamed;
     double stream_merge_ms = TimeMs([&] {
       const int base = internal::StoreCountProbe::live();
       internal::StoreCountProbe::ResetPeak();
@@ -116,9 +115,9 @@ void Main(const BenchConfig& config) {
       streamed = service->MergeRunsStreamed(views).value();
       stream_peak = internal::StoreCountProbe::peak() - base;
     });
-    FVL_CHECK(streamed.total_items() == merged.total_items());
+    FVL_CHECK(streamed.num_items() == merged.num_items());
     stream_table.AddRow({std::to_string(num_runs),
-                         std::to_string(merged.total_items()),
+                         std::to_string(merged.num_items()),
                          TablePrinter::Num(mat_merge_ms, 2),
                          std::to_string(mat_peak),
                          TablePrinter::Num(stream_merge_ms, 2),
@@ -176,10 +175,10 @@ void Main(const BenchConfig& config) {
     service->set_query_threads(1);
 
     double bytes_per_label =
-        static_cast<double>(merged.SizeBits()) / 8.0 / merged.total_items();
+        static_cast<double>(merged.SizeBits()) / 8.0 / merged.num_items();
     auto qps = [&](double ms) { return total_queries / (ms / 1000.0); };
     table.AddRow({std::to_string(num_runs),
-                  std::to_string(merged.total_items()),
+                  std::to_string(merged.num_items()),
                   TablePrinter::Num(merge_ms, 2),
                   TablePrinter::Num(bytes_per_label, 2),
                   std::to_string(total_queries),

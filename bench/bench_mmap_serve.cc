@@ -5,7 +5,7 @@
 //     are read into a string and every stream (arena included) copied into
 //     a heap-owned store;
 //   * mapped_cold — the first query pass immediately after
-//     OpenMergedIndexFile: label decode pays the page faults into the
+//     OpenIndexFile: label decode pays the page faults into the
 //     fresh mapping (the file was just written, so "cold" is
 //     cold-*mapping*, not cold-disk — page cache is already warm on any
 //     machine that just ran the compaction);
@@ -86,15 +86,15 @@ void Main(const BenchConfig& config) {
     double compact_ms = TimeMs([&] {
       const int base = internal::StoreCountProbe::live();
       internal::StoreCountProbe::ResetPeak();
-      MergedProvenanceIndex compacted =
+      ProvenanceIndex compacted =
           service->CompactFiles(l0_paths, l1_path).value();
-      benchmark_sink = benchmark_sink + compacted.total_items();
+      benchmark_sink = benchmark_sink + compacted.num_items();
       compact_peak = internal::StoreCountProbe::peak() - base;
     });
 
     // One fixed query pool over the merged flat-id space, reused by every
     // serving path.
-    MergedProvenanceIndex heap = MergedProvenanceIndex::Deserialize(
+    ProvenanceIndex heap = ProvenanceIndex::Deserialize(
         FileHandle::OpenRead(l1_path).value().ReadAll().value()).value();
     FVL_CHECK(!heap.store().arena_borrowed());
     Rng rng(13 * num_runs);
@@ -102,8 +102,8 @@ void Main(const BenchConfig& config) {
     const int num_queries = config.queries_per_point();
     queries.reserve(num_queries);
     for (int q = 0; q < num_queries; ++q) {
-      queries.push_back({rng.NextInt(0, heap.total_items() - 1),
-                         rng.NextInt(0, heap.total_items() - 1)});
+      queries.push_back({rng.NextInt(0, heap.num_items() - 1),
+                         rng.NextInt(0, heap.num_items() - 1)});
     }
 
     std::vector<bool> heap_answers;
@@ -111,8 +111,7 @@ void Main(const BenchConfig& config) {
       heap_answers = service->DependsMany(view, heap, queries).value();
     });
 
-    MergedProvenanceIndex mapped =
-        service->OpenMergedIndexFile(l1_path).value();
+    ProvenanceIndex mapped = service->OpenIndexFile(l1_path).value();
     FVL_CHECK(mapped.store().arena_borrowed() ||
               mapped.store().total_items() == 0);
     std::vector<bool> cold_answers;
@@ -137,7 +136,7 @@ void Main(const BenchConfig& config) {
         1024.0;
     auto qps = [&](double ms) { return num_queries / (ms / 1000.0); };
     table.AddRow({std::to_string(num_runs),
-                  std::to_string(heap.total_items()),
+                  std::to_string(heap.num_items()),
                   TablePrinter::Num(archive_kb, 1),
                   TablePrinter::Num(compact_ms, 2),
                   std::to_string(compact_peak),

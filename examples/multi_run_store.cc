@@ -43,19 +43,18 @@ int main() {
   // Merge into one artifact: a contiguous relocated arena plus a per-run
   // offset table; items are now addressed as (run, item) pairs.
   Stopwatch watch;
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   double merge_ms = watch.ElapsedMillis();
   std::string blob = merged.Serialize();
   std::printf(
       "merged: %d runs, %d items in %.2f ms; one blob of %.1f KB "
       "(separate blobs: %.1f KB)\n",
-      merged.num_runs(), merged.total_items(), merge_ms, blob.size() / 1024.0,
+      merged.num_runs(), merged.num_items(), merge_ms, blob.size() / 1024.0,
       separate_bytes / 1024.0);
 
   // The blob is self-describing: a consumer with no grammar at hand can
   // restore and hand it back to any service of the same specification.
-  MergedProvenanceIndex restored =
-      MergedProvenanceIndex::Deserialize(blob).value();
+  ProvenanceIndex restored = ProvenanceIndex::Deserialize(blob).value();
 
   // An auditor's view arrives later; the merged per-item index is never
   // touched (view labels are static and tiny).
@@ -94,6 +93,6 @@ int main() {
   for (bool v : visible) exposed += v;
   std::printf("visibility sweep: %d of %d stored items visible in the "
               "audit view\n",
-              exposed, restored.total_items());
+              exposed, restored.num_items());
   return 0;
 }

@@ -138,11 +138,10 @@ int main() {
   }
   std::vector<std::string_view> blob_views(run_blobs.begin(),
                                            run_blobs.end());
-  MergedProvenanceIndex archive =
-      service->MergeRunsStreamed(blob_views).value();
+  ProvenanceIndex archive = service->MergeRunsStreamed(blob_views).value();
   std::printf(
       "streamed merge of %d serialized runs: %d items, one deserialized "
       "input alive at a time\n",
-      archive.num_runs(), archive.total_items());
+      archive.num_runs(), archive.num_items());
   return 0;
 }

@@ -19,8 +19,9 @@ namespace {
 // still accepts version-2 blobs.
 constexpr char kMagic[8] = {'F', 'V', 'L', 'I', 'D', 'X', '3', '\0'};
 constexpr char kLegacyMagic[8] = {'F', 'V', 'L', 'I', 'D', 'X', '2', '\0'};
-// Multi-run variant (ProvenanceIndex::Merge): adds a per-run item-count
-// table between the scalar header and the shared store tail. FVLMRG2
+// Multi-run variant (every run count other than one): adds a run count
+// and a per-run item-count table around the scalar header, before the
+// shared store tail. FVLMRG2
 // carries the compressed tail; FVLMRG1 blobs still deserialize.
 constexpr char kMergedMagic[8] = {'F', 'V', 'L', 'M', 'R', 'G', '2', '\0'};
 constexpr char kLegacyMergedMagic[8] = {'F', 'V', 'L', 'M', 'R', 'G', '1',
@@ -37,9 +38,10 @@ int TailVersionForMagic(std::string_view blob, const char (&current)[8],
   return 0;
 }
 
-// Shared validation vocabulary of the three combiners (Merge, FromDeltas,
-// MergeStream::Append) — one wording per failure mode, so the error
-// taxonomy docs/ERRORS.md promises stays uniform by construction.
+// Shared validation vocabulary of the two combiners (FromDeltas, and
+// CompactStream, which Merge folds through) — one wording per failure
+// mode, so the error taxonomy docs/ERRORS.md promises stays uniform by
+// construction.
 Status MismatchedCodec(const char* noun, size_t index) {
   return Status::Error(
       ErrorCode::kInvalidArgument,
@@ -80,14 +82,26 @@ ProvenanceIndex ProvenanceIndexBuilder::FromLabeledRun(
 int64_t ProvenanceIndex::SizeBits() const {
   // Exact bits of the canonical span representation: every label's content
   // plus the block-compressed length metadata (the v1 layout instead paid
-  // a fixed-width offset per label here).
-  return store_.SerializedSpanBits();
+  // a fixed-width offset per label here); any run count other than one
+  // adds the per-run base table, exactly as Serialize adds the run table.
+  const int64_t run_table =
+      num_runs() == 1 ? 0
+                      : static_cast<int64_t>(num_runs()) *
+                            BitWidthFor(static_cast<int64_t>(num_items()) + 1);
+  return store_.SerializedSpanBits() + run_table;
 }
 
 std::string ProvenanceIndex::Serialize() const {
-  std::string blob(kMagic, sizeof(kMagic));
+  const bool single = num_runs() == 1;
+  std::string blob(single ? kMagic : kMergedMagic, sizeof(kMagic));
+  if (!single) LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_runs()));
   LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_items()));
   LabelStore::AppendU64(&blob, static_cast<uint64_t>(store_.arena_bits()));
+  if (!single) {
+    for (int run = 0; run < num_runs(); ++run) {
+      LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_items(run)));
+    }
+  }
   store_.AppendTail(&blob);
   return blob;
 }
@@ -113,27 +127,58 @@ Result<ProvenanceIndex> ProvenanceIndex::Parse(std::string_view blob,
   auto fail = [](const std::string& message) -> Status {
     return Status::Error(ErrorCode::kMalformedBlob, message);
   };
-  const int tail_version = TailVersionForMagic(blob, kMagic, kLegacyMagic);
+  // Single-run formats imply one run and carry no run table; multi-run
+  // formats lead with the run count and follow the scalars with one item
+  // count per run. Both share the store tail.
+  int tail_version = TailVersionForMagic(blob, kMagic, kLegacyMagic);
+  const bool single = tail_version != 0;
+  if (!single) {
+    tail_version = TailVersionForMagic(blob, kMergedMagic, kLegacyMergedMagic);
+  }
   if (tail_version == 0) return fail("bad magic");
   size_t pos = sizeof(kMagic);
-  uint64_t num_items = 0, arena_bits = 0;
-  if (!LabelStore::ReadU64(blob, &pos, &num_items) ||
+  uint64_t num_runs = 1, num_items = 0, arena_bits = 0;
+  if ((!single && !LabelStore::ReadU64(blob, &pos, &num_runs)) ||
+      !LabelStore::ReadU64(blob, &pos, &num_items) ||
       !LabelStore::ReadU64(blob, &pos, &arena_bits)) {
     return fail("truncated header");
   }
-  // Neither count can describe more bits than the blob itself carries;
-  // checking up front keeps the counts inside int64 range and bounds every
-  // allocation below by the blob size.
+  // No claimed count may describe more bytes than the blob itself carries:
+  // checking up front keeps every count inside int64 range and bounds
+  // every allocation below by the blob size.
+  if (num_runs > blob.size() / 8) return fail("num_runs exceeds blob");
+  // num_runs() and num_items() narrow the store's counts to int.
+  if (num_runs >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return fail("num_runs exceeds supported range");
+  }
   if (arena_bits / 8 > blob.size()) return fail("arena_bits exceeds blob");
   if (num_items / 8 > blob.size()) return fail("num_items exceeds blob");
-  // num_items() narrows the store's item count to int.
   if (num_items >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
     return fail("num_items exceeds supported range");
   }
 
-  Result<LabelStore> store =
-      LabelStore::ParseTail(blob, &pos, {0, static_cast<int64_t>(num_items)},
-                            arena_bits, tail_version, borrow_arena);
+  std::vector<int64_t> run_base = {0};
+  if (single) {
+    run_base.push_back(static_cast<int64_t>(num_items));
+  } else {
+    run_base.reserve(num_runs + 1);
+    for (uint64_t run = 0; run < num_runs; ++run) {
+      uint64_t count = 0;
+      if (!LabelStore::ReadU64(blob, &pos, &count)) {
+        return fail("truncated run table");
+      }
+      if (count > num_items - static_cast<uint64_t>(run_base.back())) {
+        return fail("run item counts exceed num_items");
+      }
+      run_base.push_back(run_base.back() + static_cast<int64_t>(count));
+    }
+    if (run_base.back() != static_cast<int64_t>(num_items)) {
+      return fail("run item counts do not sum to num_items");
+    }
+  }
+
+  Result<LabelStore> store = LabelStore::ParseTail(
+      blob, &pos, std::move(run_base), arena_bits, tail_version, borrow_arena);
   if (!store.ok()) return store.status();
   return ProvenanceIndex(std::move(store).value());
 }
@@ -166,146 +211,42 @@ Result<ProvenanceIndex> ProvenanceIndex::FromDeltas(
   return ProvenanceIndex(std::move(store));
 }
 
-Result<MergedProvenanceIndex> ProvenanceIndex::Merge(
+Result<ProvenanceIndex> ProvenanceIndex::Merge(
     std::span<const ProvenanceIndex> runs) {
-  if (runs.empty()) return MergedProvenanceIndex();
-
-  const LabelCodec& codec = runs[0].codec();
-  int64_t total = 0;
-  for (size_t r = 1; r < runs.size(); ++r) {
-    if (!(runs[r].codec() == codec)) return MismatchedCodec("run", r);
-  }
-  for (const ProvenanceIndex& run : runs) total += run.num_items();
-  if (!FitsItemCount(total)) return TooManyItems("merged index");
-
-  // Grouped append into one shared arena: per run, one bulk bit copy plus
-  // integer offset rebasing; item ids stay dense, so (run, item) maps to
-  // the run's group base + item.
-  LabelStore store(codec);
+  CompactStream stream;
   for (const ProvenanceIndex& run : runs) {
-    if (Status status = store.AppendGroups(run.store()); !status.ok()) {
-      return status;
-    }
+    if (Status status = stream.Append(run); !status.ok()) return status;
   }
-  return MergedProvenanceIndex(std::move(store));
-}
-
-// --- MergeStream -------------------------------------------------------------
-
-Status MergeStream::Append(std::string_view blob) {
-  // `run` is the only deserialized input ever alive in the stream; it is
-  // destroyed when Append returns, before the caller touches the next blob.
-  Result<ProvenanceIndex> run = ProvenanceIndex::Deserialize(blob);
-  if (!run.ok()) return run.status();
-  if (!have_codec_) {
-    store_ = LabelStore(run->codec());
-    have_codec_ = true;
-  } else if (!(run->codec() == store_.codec())) {
-    return MismatchedCodec("run", static_cast<size_t>(num_runs()));
-  }
-  if (!FitsItemCount(static_cast<int64_t>(store_.total_items()) +
-                     run->num_items())) {
-    return TooManyItems("merged index");
-  }
-  return store_.AppendGroups(run->store());
-}
-
-Result<MergedProvenanceIndex> MergeStream::Finish() && {
-  if (!have_codec_) return MergedProvenanceIndex();
-  return MergedProvenanceIndex(std::move(store_));
-}
-
-// --- MergedProvenanceIndex ---------------------------------------------------
-
-int64_t MergedProvenanceIndex::SizeBits() const {
-  // Canonical span representation plus the per-run base table.
-  return store_.SerializedSpanBits() +
-         static_cast<int64_t>(num_runs()) *
-             BitWidthFor(static_cast<int64_t>(total_items()) + 1);
-}
-
-std::string MergedProvenanceIndex::Serialize() const {
-  std::string blob(kMergedMagic, sizeof(kMergedMagic));
-  LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_runs()));
-  LabelStore::AppendU64(&blob, static_cast<uint64_t>(total_items()));
-  LabelStore::AppendU64(&blob, static_cast<uint64_t>(store_.arena_bits()));
-  for (int run = 0; run < num_runs(); ++run) {
-    LabelStore::AppendU64(&blob, static_cast<uint64_t>(num_items(run)));
-  }
-  store_.AppendTail(&blob);
-  return blob;
-}
-
-Result<MergedProvenanceIndex> MergedProvenanceIndex::Deserialize(
-    std::string_view blob) {
-  return Parse(blob, /*borrow_arena=*/false);
-}
-
-Result<MergedProvenanceIndex> MergedProvenanceIndex::Map(
-    const std::string& path) {
-  Result<BlobSource> source = BlobSource::MapFile(path);
-  if (!source.ok()) return source.status();
-  source->AdviseSequential();
-  Result<MergedProvenanceIndex> index =
-      Parse(source->view(), /*borrow_arena=*/true);
-  if (!index.ok()) return index.status();
-  source->AdviseRandom();
-  index->backing_ = std::move(source).value();
-  return index;
-}
-
-Result<MergedProvenanceIndex> MergedProvenanceIndex::Parse(
-    std::string_view blob, bool borrow_arena) {
-  auto fail = [](const std::string& message) -> Status {
-    return Status::Error(ErrorCode::kMalformedBlob, message);
-  };
-  const int tail_version =
-      TailVersionForMagic(blob, kMergedMagic, kLegacyMergedMagic);
-  if (tail_version == 0) return fail("bad magic");
-  size_t pos = sizeof(kMergedMagic);
-  uint64_t num_runs = 0, total_items = 0, arena_bits = 0;
-  if (!LabelStore::ReadU64(blob, &pos, &num_runs) ||
-      !LabelStore::ReadU64(blob, &pos, &total_items) ||
-      !LabelStore::ReadU64(blob, &pos, &arena_bits)) {
-    return fail("truncated header");
-  }
-  // Same up-front bounding as the single-run format: no claimed count may
-  // describe more bytes than the blob carries, which caps every allocation
-  // below and keeps all arithmetic in int64 range.
-  if (num_runs > blob.size() / 8) return fail("num_runs exceeds blob");
-  // num_runs() narrows the store's group count to int.
-  if (num_runs >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return fail("num_runs exceeds supported range");
-  }
-  if (arena_bits / 8 > blob.size()) return fail("arena_bits exceeds blob");
-  if (total_items / 8 > blob.size()) return fail("total_items exceeds blob");
-  if (total_items >= static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return fail("total_items exceeds supported range");
-  }
-
-  std::vector<int64_t> run_base = {0};
-  run_base.reserve(num_runs + 1);
-  for (uint64_t run = 0; run < num_runs; ++run) {
-    uint64_t count = 0;
-    if (!LabelStore::ReadU64(blob, &pos, &count)) {
-      return fail("truncated run table");
-    }
-    if (count > total_items - static_cast<uint64_t>(run_base.back())) {
-      return fail("run item counts exceed total_items");
-    }
-    run_base.push_back(run_base.back() + static_cast<int64_t>(count));
-  }
-  if (run_base.back() != static_cast<int64_t>(total_items)) {
-    return fail("run item counts do not sum to total_items");
-  }
-
-  Result<LabelStore> store = LabelStore::ParseTail(
-      blob, &pos, std::move(run_base), arena_bits, tail_version, borrow_arena);
-  if (!store.ok()) return store.status();
-  return MergedProvenanceIndex(std::move(store).value());
+  return std::move(stream).Finish();
 }
 
 // --- CompactStream -----------------------------------------------------------
+
+Status CompactStream::Append(const ProvenanceIndex& index) {
+  const LabelStore& source = index.store();
+  if (source.num_groups() == 0) {
+    ++inputs_;
+    return Status::Ok();
+  }
+  if (!have_codec_) {
+    store_ = LabelStore(source.codec());
+    have_codec_ = true;
+  } else if (!(source.codec() == store_.codec())) {
+    return MismatchedCodec("input", inputs_);
+  }
+  if (!FitsItemCount(static_cast<int64_t>(store_.total_items()) +
+                     source.total_items())) {
+    return TooManyItems("merged index");
+  }
+  // Grouped append into one shared arena: per input, one bulk bit copy plus
+  // integer offset rebasing; item ids stay dense, so (run, item) maps to
+  // the run's group base + item.
+  if (Status status = store_.AppendGroups(source); !status.ok()) {
+    return status;
+  }
+  ++inputs_;
+  return Status::Ok();
+}
 
 Status CompactStream::Append(std::string_view blob) {
   return AppendParsed(blob, /*borrow_arena=*/false);
@@ -325,42 +266,18 @@ Status CompactStream::Append(BlobReader* reader) {
 Status CompactStream::AppendParsed(std::string_view blob, bool borrow_arena) {
   // The parsed input is the only deserialized store alive in the stream; it
   // is destroyed when this returns, before the caller touches the next
-  // input (MergeStream's memory discipline, extended to merged inputs).
-  if (TailVersionForMagic(blob, kMergedMagic, kLegacyMergedMagic) != 0) {
-    Result<MergedProvenanceIndex> input =
-        MergedProvenanceIndex::Parse(blob, borrow_arena);
-    if (!input.ok()) return input.status();
-    return AppendStore(input->store());
-  }
+  // input.
   Result<ProvenanceIndex> input = ProvenanceIndex::Parse(blob, borrow_arena);
   if (!input.ok()) return input.status();
-  return AppendStore(input->store());
+  return Append(*input);
 }
 
-Status CompactStream::AppendStore(const LabelStore& source) {
-  if (!have_codec_) {
-    store_ = LabelStore(source.codec());
-    have_codec_ = true;
-  } else if (!(source.codec() == store_.codec())) {
-    return MismatchedCodec("input", inputs_);
-  }
-  if (!FitsItemCount(static_cast<int64_t>(store_.total_items()) +
-                     source.total_items())) {
-    return TooManyItems("compacted index");
-  }
-  if (Status status = store_.AppendGroups(source); !status.ok()) {
-    return status;
-  }
-  ++inputs_;
-  return Status::Ok();
+Result<ProvenanceIndex> CompactStream::Finish() && {
+  if (!have_codec_) return ProvenanceIndex();
+  return ProvenanceIndex(std::move(store_));
 }
 
-Result<MergedProvenanceIndex> CompactStream::Finish() && {
-  if (!have_codec_) return MergedProvenanceIndex();
-  return MergedProvenanceIndex(std::move(store_));
-}
-
-Result<MergedProvenanceIndex> CompactMerged(std::span<BlobReader> inputs) {
+Result<ProvenanceIndex> CompactMerged(std::span<BlobReader> inputs) {
   CompactStream stream;
   for (BlobReader& reader : inputs) {
     if (Status status = stream.Append(&reader); !status.ok()) return status;

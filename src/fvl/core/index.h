@@ -1,12 +1,13 @@
 // Persistent provenance index: the downstream-adoption layer around the
 // labeling scheme.
 //
-// Both index classes are thin, immutable wrappers over a frozen
+// ProvenanceIndex is a thin, immutable wrapper over a frozen
 // fvl::LabelStore (core/label_store.h) — one contiguous bit arena plus
-// grouped offsets. A ProvenanceIndexBuilder consumes a labeled run and
-// packs every encoded data label into a single-group store; the resulting
-// ProvenanceIndex is a position-independent blob that can be serialized,
-// mapped back, and queried without the Run or the labeler:
+// grouped offsets, one group per run. A ProvenanceIndexBuilder consumes a
+// labeled run and packs every encoded data label into a single-group
+// store; the resulting ProvenanceIndex is a position-independent blob that
+// can be serialized, mapped back, merged with other runs, and queried
+// without the Run or the labeler:
 //
 //   ProvenanceIndexBuilder builder(service.production_graph());
 //   ... builder.Add(label) for every item (or FromLabeledRun) ...
@@ -44,7 +45,6 @@
 namespace fvl {
 
 class ProvenanceIndex;
-class MergedProvenanceIndex;
 
 class ProvenanceIndexBuilder {
  public:
@@ -64,54 +64,85 @@ class ProvenanceIndexBuilder {
   LabelStore store_;
 };
 
+// The one frozen index type: an immutable wrapper over a frozen LabelStore
+// with 0..N groups, one group per run. A snapshot is a one-run index; Merge
+// and CompactStream produce many-run ones from the same labels (a grouped
+// append — no label is re-encoded). Items are addressed either by flat id
+// (arena order across all runs) or as (run, item) pairs; for a one-run
+// index the two coincide.
 class ProvenanceIndex {
  public:
-  // Wraps a frozen single-group store (a builder's output, a session's
-  // live store copied at snapshot time, or a deserialized blob).
+  ProvenanceIndex() = default;  // zero runs, zero items
+  // Wraps a frozen store (a builder's output, a session's live store copied
+  // at snapshot time, a grouped append, or a deserialized blob).
   explicit ProvenanceIndex(LabelStore store)
       : store_(std::move(store)),
-        cache_(internal::MakeServingCache(store_.total_items())) {
-    FVL_CHECK(store_.num_groups() == 1);
-  }
+        cache_(internal::MakeServingCache(store_.total_items())) {}
 
+  int num_runs() const { return store_.num_groups(); }
+  // Items across all runs; bounded to int range by every producer.
   int num_items() const { return store_.total_items(); }
-  // The codec the labels are encoded with; consumers can compare it against
-  // their grammar's codec before decoding (ProvenanceService does).
+  int num_items(int run) const { return store_.num_items(run); }
+  // The codec the labels are encoded with (shared by every run; all-zero
+  // widths for a zero-run index); consumers can compare it against their
+  // grammar's codec before decoding (ProvenanceService does).
   const LabelCodec& codec() const { return store_.codec(); }
   // The underlying frozen store (zero-copy span access for batch decode).
   const LabelStore& store() const { return store_; }
-  // Total index size in bits (arena + offset table at minimal width).
+  // Total index size in bits: arena + offset metadata at minimal width,
+  // plus the per-run base table when the index is not a single run.
   int64_t SizeBits() const;
 
-  // Decodes the label of one item.
+  // Flat id of (run, item) in arena order.
+  int GlobalId(int run, int item) const { return store_.GlobalId(run, item); }
+  // Inverse direction: the run a flat id belongs to. Queries use this to
+  // keep run boundaries meaningful — items of different runs never depend
+  // on each other (separate executions share no data flow), and the
+  // decoding predicate is only defined over labels of one parse tree.
+  int RunOf(int item) const { return store_.GroupOf(item); }
+
+  // Decodes the label of one item, addressed either way.
   DataLabel Label(int item) const { return store_.DecodeLabel(item); }
-  // Exact encoded size of one item's label.
+  DataLabel Label(int run, int item) const {
+    return Label(GlobalId(run, item));
+  }
+  // Exact encoded size of one item's label, addressed either way.
   int64_t LabelBits(int item) const { return store_.LabelBits(item); }
+  int64_t LabelBits(int run, int item) const {
+    return LabelBits(GlobalId(run, item));
+  }
 
   // The snapshot-lifetime serving cache (core/serving_cache.h): decoded
-  // labels + reachability memo, shared by copies of this index and freed
-  // with the last one — invalidation is the destructor. Null only for an
-  // empty (zero-item) index. The store is frozen, so entries never go
-  // stale; ProvenanceService consults it on its batch paths.
+  // labels + reachability memo keyed by flat ids, shared by copies of this
+  // index and freed with the last one — invalidation is the destructor.
+  // Null only for an empty (zero-item) index. The store is frozen, so
+  // entries never go stale; ProvenanceService consults it on its batch
+  // paths.
   ServingCache* serving_cache() const { return cache_.get(); }
 
-  // Stable little-endian binary format (header incl. codec widths, offsets,
-  // arena). Self-describing: Deserialize needs only the blob.
+  // Stable little-endian binary format, self-describing (codec widths in
+  // the header): Deserialize needs only the blob. One rule picks the
+  // layout — exactly one run is written as FVLIDX3, any other run count as
+  // FVLMRG2 (which adds a run count and a per-run item-count table) — so a
+  // one-run Merge serializes byte-identical to that run's snapshot.
   std::string Serialize() const;
-  // Fails with kMalformedBlob on any parse error, including blobs whose
-  // label spans do not decode exactly under the embedded codec — a
-  // returned index never aborts in its accessors. The blob is only read
-  // during the call (the index owns its storage), so borrowed buffers can
-  // be streamed through without copying (MergeStream relies on this).
+  // Parses any of the four formats (FVLIDX3/FVLIDX2 single-run, FVLMRG2/
+  // FVLMRG1 multi-run). Fails with kMalformedBlob on any parse error, an
+  // unrecognized magic included, and on blobs whose label spans do not
+  // decode exactly under the embedded codec — a returned index never
+  // aborts in its accessors. The blob is only read during the call (the
+  // index owns its storage), so borrowed buffers can be streamed through
+  // without copying (CompactStream relies on this).
   [[nodiscard]] static Result<ProvenanceIndex> Deserialize(std::string_view blob);
 
-  // Serves the index straight out of an archive file: opens and mmaps
-  // `path`, validates it exactly as Deserialize would, and returns an index
-  // whose long-label arena still lives in the mapping — zero arena copy
-  // (store().arena_borrowed() is true for any index with long labels). The
-  // index keeps the mapping alive (copies share it; the file unmaps with
-  // the last copy), so the returned value is self-contained. kIo/kMapFailed
-  // for file-level failures, kMalformedBlob for content ones.
+  // Serves the index straight out of an archive file of any format: opens
+  // and mmaps `path`, validates it exactly as Deserialize would, and
+  // returns an index whose long-label arena still lives in the mapping —
+  // zero arena copy (store().arena_borrowed() is true for any index with
+  // long labels). The index keeps the mapping alive (copies share it; the
+  // file unmaps with the last copy), so the returned value is
+  // self-contained. kIo/kMapFailed for file-level failures, kMalformedBlob
+  // for content ones.
   [[nodiscard]] static Result<ProvenanceIndex> Map(const std::string& path);
 
   // Reassembles incremental snapshots (ProvenanceSession::SnapshotDelta)
@@ -124,14 +155,13 @@ class ProvenanceIndex {
   [[nodiscard]] static Result<ProvenanceIndex> FromDeltas(
       std::span<const ProvenanceIndex> deltas);
 
-  // Combines per-run snapshots of the *same* specification into one
-  // queryable multi-run artifact: a grouped append into one shared arena —
-  // every run becomes a store group, items are addressed as
-  // (run, local_item) pairs, and no label is re-encoded. Runs whose codecs
+  // Combines indexes of the *same* specification into one queryable
+  // multi-run artifact: every run of every input becomes a run of the
+  // result, in order (a fold through CompactStream). Inputs whose codecs
   // disagree (i.e. snapshots of structurally different grammars) are
-  // rejected with kInvalidArgument; an empty span yields an empty merged
-  // index rather than an error.
-  [[nodiscard]] static Result<MergedProvenanceIndex> Merge(
+  // rejected with kInvalidArgument; an empty span yields a zero-run index
+  // rather than an error.
+  [[nodiscard]] static Result<ProvenanceIndex> Merge(
       std::span<const ProvenanceIndex> runs);
 
  private:
@@ -153,156 +183,41 @@ class ProvenanceIndex {
   BlobSource backing_;
 };
 
-// Many runs of one specification, frozen into a single position-independent
-// artifact (ProvenanceIndex::Merge): a LabelStore with one group per run.
-// Items are addressed as (run, item) pairs: the grouped offset table maps
-// each pair to a flat id into one contiguous shared label arena, so
-// cross-run batch sweeps walk memory linearly instead of chasing per-run
-// snapshots. Serialization follows the single-run format and hardening:
-// self-describing (codec widths in the header), and Deserialize
-// bounds-checks every field and verifies that every label span decodes
-// under the embedded codec before an index is returned — accessors on a
-// deserialized index never abort.
-class MergedProvenanceIndex {
- public:
-  MergedProvenanceIndex() = default;  // zero runs, zero items
-  explicit MergedProvenanceIndex(LabelStore store)
-      : store_(std::move(store)),
-        cache_(internal::MakeServingCache(store_.total_items())) {}
+// The former multi-run index type, now the same class.
+using MergedProvenanceIndex = ProvenanceIndex;
 
-  int num_runs() const { return store_.num_groups(); }
-  int num_items(int run) const { return store_.num_items(run); }
-  // Items across all runs; bounded to int range by Merge/Deserialize.
-  int total_items() const { return store_.total_items(); }
-  // The shared codec of every merged run.
-  const LabelCodec& codec() const { return store_.codec(); }
-  // The underlying frozen store (zero-copy span access for batch decode).
-  const LabelStore& store() const { return store_; }
-
-  // Flat id of (run, item) in arena order.
-  int GlobalId(int run, int item) const { return store_.GlobalId(run, item); }
-  // Inverse direction: the run a flat id belongs to. Queries use this to
-  // keep run boundaries meaningful — items of different runs never depend
-  // on each other (separate executions share no data flow), and the
-  // decoding predicate is only defined over labels of one parse tree.
-  int RunOf(int global) const { return store_.GroupOf(global); }
-
-  // Decodes the label of one item, addressed either way.
-  DataLabel Label(int run, int item) const {
-    return LabelByGlobalId(GlobalId(run, item));
-  }
-  DataLabel LabelByGlobalId(int global) const {
-    return store_.DecodeLabel(global);
-  }
-  // Exact encoded size of one item's label.
-  int64_t LabelBits(int run, int item) const {
-    return store_.LabelBits(GlobalId(run, item));
-  }
-
-  // Snapshot-lifetime serving cache, as on ProvenanceIndex; memo/label
-  // entries are keyed by flat (global) ids. Null for an empty merge.
-  ServingCache* serving_cache() const { return cache_.get(); }
-
-  // Total index size in bits (arena + offset tables at minimal width).
-  int64_t SizeBits() const;
-
-  // Same contract as the single-run pair: stable little-endian format,
-  // kMalformedBlob on any parse or decode inconsistency.
-  std::string Serialize() const;
-  [[nodiscard]] static Result<MergedProvenanceIndex> Deserialize(std::string_view blob);
-
-  // File-served counterpart of Deserialize, with the same contract as
-  // ProvenanceIndex::Map: mmap, validate, borrow the arena from the
-  // mapping, keep the mapping alive alongside the index.
-  [[nodiscard]] static Result<MergedProvenanceIndex> Map(
-      const std::string& path);
-
- private:
-  friend class CompactStream;  // parses inputs with borrowed arenas
-
-  [[nodiscard]] static Result<MergedProvenanceIndex> Parse(
-      std::string_view blob, bool borrow_arena);
-
-  LabelStore store_;
-  std::shared_ptr<ServingCache> cache_;
-  // Keepalive for Map-served indexes (see ProvenanceIndex::backing_).
-  BlobSource backing_;
-};
-
-// Memory-bounded k-way merge: the streaming counterpart of
-// ProvenanceIndex::Merge for *serialized* runs. Each blob is deserialized
-// and appended on its own — the input store is destroyed before Append
-// returns, so merging N runs peaks at O(largest input + output) memory
+// Memory-bounded k-way merge and LSM-style re-merge — the one appender
+// behind Merge, ProvenanceService::MergeRunsStreamed and CompactFiles.
+// Every input, in memory or serialized, single-run or multi-run, has its
+// runs appended in stored order with one bulk bit copy per input; nothing
+// is flattened back into per-run blobs or re-encoded. Serialized inputs
+// are parsed one at a time and the parsed store is destroyed before Append
+// returns, so folding N inputs peaks at O(largest input + output) memory
 // instead of O(sum of inputs) (asserted against internal::StoreCountProbe
-// in tests/merge_test.cc). The finished artifact is bit-identical to
-// deserializing every blob up front and calling Merge (golden-blob test).
-//
-//   MergeStream stream;
-//   for (std::string_view blob : blobs) {
-//     if (Status status = stream.Append(blob); !status.ok()) return status;
-//   }
-//   MergedProvenanceIndex merged = std::move(stream).Finish().value();
-class MergeStream {
- public:
-  MergeStream() = default;
-
-  // Deserializes one single-run blob (FVLIDX3, or a legacy FVLIDX2) and
-  // appends it as the next
-  // run of the merge. kMalformedBlob if the blob does not parse or decode
-  // under its embedded codec; kInvalidArgument if its codec disagrees with
-  // the runs appended before it (a snapshot of a structurally different
-  // grammar) or the merge would exceed the supported item count. On error
-  // the stream is unchanged and may keep appending other blobs.
-  [[nodiscard]] Status Append(std::string_view blob);
-
-  // Runs / items appended so far.
-  int num_runs() const { return store_.num_groups(); }
-  int total_items() const { return store_.total_items(); }
-  // The shared codec every appended run is pinned to (run 0's); all-zero
-  // widths until the first Append succeeds. Lets callers vet the whole
-  // batch against their own grammar after one blob instead of after the
-  // full merge (ProvenanceService::MergeRunsStreamed fails fast on it).
-  const LabelCodec& codec() const { return store_.codec(); }
-
-  // Freezes the appended runs into the merged artifact (an empty stream
-  // yields an empty index, exactly like Merge over an empty span); the
-  // stream is consumed.
-  [[nodiscard]] Result<MergedProvenanceIndex> Finish() &&;
-
- private:
-  bool have_codec_ = false;
-  LabelStore store_;
-};
-
-// LSM-style re-merge: folds already-merged artifacts (FVLMRG2/FVLMRG1) and
-// stray single runs (FVLIDX3/FVLIDX2) into one compacted merged index —
-// the dLSM-shaped maintenance step of the on-disk tier, where L0 run files
-// and earlier compaction outputs collapse into a new archive. Unlike
-// MergeStream it accepts merged inputs directly: their runs are appended
-// in stored order with one bulk bit copy per input, never flattened back
-// into per-run blobs. MergeStream's memory discipline carries over — one
-// parsed input alive at a time, destroyed before the next is touched, so
-// compaction peaks at O(largest input + output) (asserted against
-// internal::StoreCountProbe in tests/disk_tier_test.cc) — and the
-// BlobReader overload parses with a borrowed arena, so a mapped input's
-// payload bits are never copied into the temporary at all. The output is
-// bit-identical to a from-scratch ProvenanceIndex::Merge of the flattened
-// run sequence (AppendTail is canonical whatever the grouping history).
+// in tests/merge_test.cc and tests/disk_tier_test.cc); the BlobReader
+// overload parses with a borrowed arena, so a mapped input's payload bits
+// are never copied into the temporary at all. The output is bit-identical
+// to a Merge of the flattened run sequence (AppendTail is canonical
+// whatever the grouping history).
 //
 //   CompactStream stream;
 //   for (BlobReader& reader : readers) {
 //     if (Status status = stream.Append(&reader); !status.ok()) return status;
 //   }
-//   MergedProvenanceIndex compacted = std::move(stream).Finish().value();
+//   ProvenanceIndex compacted = std::move(stream).Finish().value();
 class CompactStream {
  public:
   CompactStream() = default;
 
-  // Appends every run of one serialized artifact, single-run or merged, in
-  // its stored order. kMalformedBlob if the blob does not parse (an
-  // unrecognized magic included); kInvalidArgument on a codec mismatch with
-  // earlier inputs or item-count overflow. On error the stream is
-  // unchanged and may keep appending other inputs.
+  // Appends every run of `index` in its stored order. kInvalidArgument on a
+  // codec mismatch with earlier inputs (a snapshot of a structurally
+  // different grammar) or item-count overflow. A zero-run input adds
+  // nothing and pins no codec. On error the stream is unchanged and may
+  // keep appending other inputs.
+  [[nodiscard]] Status Append(const ProvenanceIndex& index);
+
+  // Same, for one serialized index of any format; additionally
+  // kMalformedBlob if the blob does not parse.
   [[nodiscard]] Status Append(std::string_view blob);
 
   // Same, consuming the reader's remaining bytes. For a mapped source the
@@ -313,29 +228,29 @@ class CompactStream {
 
   // Runs / items appended so far, across all inputs.
   int num_runs() const { return store_.num_groups(); }
-  int total_items() const { return store_.total_items(); }
-  // Pinned by the first input; all-zero widths before that (as on
-  // MergeStream).
+  int num_items() const { return store_.total_items(); }
+  // The shared codec every appended run is pinned to (the first run's);
+  // all-zero widths until a run is appended. Lets callers vet a batch
+  // against their own grammar after its first run instead of after the
+  // full merge (ProvenanceService fails fast on it).
   const LabelCodec& codec() const { return store_.codec(); }
 
-  // Freezes the appended runs (an empty stream yields an empty index); the
-  // stream is consumed.
-  [[nodiscard]] Result<MergedProvenanceIndex> Finish() &&;
+  // Freezes the appended runs (a stream without runs yields a zero-run
+  // index, exactly like Merge over an empty span); the stream is consumed.
+  [[nodiscard]] Result<ProvenanceIndex> Finish() &&;
 
  private:
-  // Shared core: magic-dispatch, parse one input (borrowing its arena from
-  // `blob` when asked — the parsed store never outlives this call), fold
-  // its runs into store_.
+  // Parses one serialized input (borrowing its arena from `blob` when
+  // asked — the parsed store never outlives this call) and appends it.
   [[nodiscard]] Status AppendParsed(std::string_view blob, bool borrow_arena);
-  [[nodiscard]] Status AppendStore(const LabelStore& source);
 
   bool have_codec_ = false;
-  size_t inputs_ = 0;  // artifacts appended (for error attribution)
+  size_t inputs_ = 0;  // inputs appended (for error attribution)
   LabelStore store_;
 };
 
 // Convenience one-shot: compacts `inputs` in order through a CompactStream.
-[[nodiscard]] Result<MergedProvenanceIndex> CompactMerged(
+[[nodiscard]] Result<ProvenanceIndex> CompactMerged(
     std::span<BlobReader> inputs);
 
 }  // namespace fvl

@@ -30,8 +30,8 @@
 //     *incrementally* in O(delta) (the §2.3 mid-run checkpointing path);
 //   * multi-run merging appends whole stores group-by-group with two bulk
 //     bit copies and per-skip integer fixups — no label is re-encoded or
-//     even re-delimited (MergedProvenanceIndex is a frozen many-group
-//     store; MergeStream stays memory-bounded);
+//     even re-delimited (a multi-run ProvenanceIndex is a frozen
+//     many-group store; CompactStream stays memory-bounded);
 //   * both the FVLIDX3 and FVLMRG2 blob formats share the store's
 //     serialized tail and its hardened ParseTail, which is
 //     version-dispatched: pre-existing FVLIDX2/FVLMRG1 blobs (flat
@@ -73,7 +73,7 @@ namespace internal {
 
 // Process-wide census of live LabelStore instances (relaxed atomics; a
 // member of every store, so construction, copies, and destruction are all
-// counted — moved-from stores still exist and still count). MergeStream's
+// counted — moved-from stores still exist and still count). CompactStream's
 // memory-boundedness contract — at most one deserialized input store alive
 // at a time on top of the output — is asserted against this probe by
 // tests/merge_test.cc and reported by bench_merge_query as a peak-RSS

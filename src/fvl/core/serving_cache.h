@@ -9,8 +9,8 @@
 //     hot query pair skips decoding *and* the predicate entirely.
 //
 // Ownership is the whole invalidation story: the cache lives inside the
-// ProvenanceIndex / MergedProvenanceIndex it serves (shared by copies of
-// that index) and dies with the snapshot. The underlying store is frozen,
+// ProvenanceIndex it serves (shared by copies of that index) and dies with
+// the snapshot. The underlying store is frozen,
 // so entries can never go stale — there is no invalidate path at all.
 //
 // Correctness-by-construction rules (relied on by the differential tests):
@@ -70,7 +70,7 @@ struct ReachMemoKey {
   int32_t view_id = -1;
   int32_t mode = 0;  // ViewLabelMode ordinal
   int32_t d1 = -1;   // item ids in the owning index's id space
-  int32_t d2 = -1;   // (flat/global ids for a merged index)
+  int32_t d2 = -1;   // (flat ids across every run of the index)
 
   friend bool operator==(const ReachMemoKey&, const ReachMemoKey&) = default;
 };
@@ -146,7 +146,7 @@ class ServingCache {
 namespace internal {
 
 // Cache factory for index constructors: null for an empty snapshot (a
-// zero-item delta or a default-constructed merged index allocates nothing).
+// zero-item delta or a zero-run index allocates nothing).
 std::shared_ptr<ServingCache> MakeServingCache(int num_items);
 
 }  // namespace internal

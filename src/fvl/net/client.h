@@ -48,15 +48,14 @@ struct SnapshotInfo {
   int frozen_items = 0;  // session high-water mark after the freeze
 };
 
-// What MergeRuns hands back.
+// What MergeRuns, CompactFiles and OpenMergedIndexFile hand back.
 struct MergeInfo {
   uint64_t merged_id = 0;
   int num_runs = 0;
   int total_items = 0;
 };
 
-// What OpenIndexFile hands back (single-run archives; merged archives come
-// back as a MergeInfo from OpenMergedIndexFile).
+// What OpenIndexFile hands back.
 struct OpenInfo {
   uint64_t index_id = 0;
   int num_items = 0;
@@ -96,15 +95,16 @@ class ProvenanceClient {
   // --- On-disk tier ---
   //
   // Paths name files on the *server's* filesystem: the server maps (or
-  // writes) them; archive bytes never cross the wire. The returned ids
-  // feed the same query calls as Snapshot/MergeRuns ids.
+  // writes) them; archive bytes never cross the wire. Every id the server
+  // returns — snapshot, merge, open or compaction — lives in one id space
+  // and feeds every query call.
 
-  // Maps a serialized single-run archive server-side and registers it.
+  // Map an archive of any format server-side and register it; the two
+  // differ only in the shape they report back.
   [[nodiscard]] Result<OpenInfo> OpenIndexFile(const std::string& path);
-  // Maps a serialized merged archive server-side and registers it.
   [[nodiscard]] Result<MergeInfo> OpenMergedIndexFile(const std::string& path);
   // LSM-style server-side re-merge: compacts the named archives (single-run
-  // or merged, any mix) into one FVLMRG2 file at output_path and registers
+  // or merged, any mix) into one archive file at output_path and registers
   // the result.
   [[nodiscard]] Result<MergeInfo> CompactFiles(
       std::span<const std::string> input_paths,

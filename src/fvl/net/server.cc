@@ -89,7 +89,6 @@ class ProvenanceServer::Impl {
       stats.reach_misses += s.reach_misses;
     };
     for (const auto& [id, index] : indexes_) add(index->serving_cache());
-    for (const auto& [id, index] : merged_) add(index->serving_cache());
     return stats;
   }
 
@@ -483,16 +482,9 @@ class ProvenanceServer::Impl {
                                 : entry->session->Snapshot();
     int frozen = entry->session->frozen_items();
     entry->mu.Unlock();
-    int num_items = index.num_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_index_id_++;
-      indexes_[id] =
-          std::make_shared<const ProvenanceIndex>(std::move(index));
-    }
+    const int num_items = index.num_items();
     std::string body;
-    AppendU64(&body, id);
+    AppendU64(&body, RegisterIndex(std::move(index)));
     AppendU64(&body, static_cast<uint64_t>(num_items));
     AppendU64(&body, static_cast<uint64_t>(frozen));
     return OkResponse(body);
@@ -532,106 +524,52 @@ class ProvenanceServer::Impl {
 
   std::string HandleMergeRuns(const Request& request)
       FVL_EXCLUDES(state_mu_) {
-    // Serialize each snapshot and feed the memory-bounded streamed merge —
-    // the same path a file-backed archive would take, so the wire op
-    // inherits its O(largest run + output) bound and error taxonomy.
-    std::vector<std::string> blobs;
-    blobs.reserve(request.index_ids.size());
+    // Append the registered indexes' stores straight into one grouped
+    // store: one bulk bit copy per input, no serialization round trip, so
+    // the op costs O(output) beyond the indexes already registered.
+    CompactStream stream;
     for (uint64_t id : request.index_ids) {
       std::shared_ptr<const ProvenanceIndex> index = LookupIndex(id);
       if (index == nullptr) return ErrorResponse(NotFound("index", id));
-      blobs.push_back(index->Serialize());
+      if (Status status = stream.Append(*index); !status.ok()) {
+        return ErrorResponse(status);
+      }
     }
-    std::vector<std::string_view> views(blobs.begin(), blobs.end());
-    Result<MergedProvenanceIndex> merged = service_->MergeRunsStreamed(views);
-    if (!merged.ok()) return ErrorResponse(merged.status());
-    int num_runs = merged->num_runs();
-    int total_items = merged->total_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_merged_id_++;
-      merged_[id] = std::make_shared<const MergedProvenanceIndex>(
-          std::move(merged).value());
-    }
-    std::string body;
-    AppendU64(&body, id);
-    AppendU64(&body, static_cast<uint64_t>(num_runs));
-    AppendU64(&body, static_cast<uint64_t>(total_items));
-    return OkResponse(body);
+    return RegisterMerged(std::move(stream).Finish());
   }
 
   std::string HandleOpenIndexFile(const Request& request)
       FVL_EXCLUDES(state_mu_) {
     // The mapped index holds its BlobSource keepalive, so registering it
     // serves queries straight off the archive's pages — a cold open is the
-    // whole point of the on-disk tier (bench/bench_mmap_serve.cc).
-    if (request.merged_file) {
-      Result<MergedProvenanceIndex> merged =
-          service_->OpenMergedIndexFile(request.path);
-      if (!merged.ok()) return ErrorResponse(merged.status());
-      int num_runs = merged->num_runs();
-      int total_items = merged->total_items();
-      uint64_t id;
-      {
-        MutexLock lock(&state_mu_);
-        id = next_merged_id_++;
-        merged_[id] = std::make_shared<const MergedProvenanceIndex>(
-            std::move(merged).value());
-      }
-      std::string body;
-      AppendU64(&body, id);
-      AppendU64(&body, static_cast<uint64_t>(num_runs));
-      AppendU64(&body, static_cast<uint64_t>(total_items));
-      return OkResponse(body);
-    }
+    // whole point of the on-disk tier (bench/bench_mmap_serve.cc). Either
+    // format maps; the merged flag only picks the response layout.
     Result<ProvenanceIndex> index = service_->OpenIndexFile(request.path);
+    if (request.merged_file) return RegisterMerged(std::move(index));
     if (!index.ok()) return ErrorResponse(index.status());
-    int num_items = index->num_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_index_id_++;
-      indexes_[id] =
-          std::make_shared<const ProvenanceIndex>(std::move(index).value());
-    }
+    const int num_items = index->num_items();
     std::string body;
-    AppendU64(&body, id);
+    AppendU64(&body, RegisterIndex(std::move(index).value()));
     AppendU64(&body, static_cast<uint64_t>(num_items));
     return OkResponse(body);
   }
 
   std::string HandleCompactFiles(const Request& request)
       FVL_EXCLUDES(state_mu_) {
-    Result<MergedProvenanceIndex> merged =
-        service_->CompactFiles(request.input_paths, request.path);
-    if (!merged.ok()) return ErrorResponse(merged.status());
-    int num_runs = merged->num_runs();
-    int total_items = merged->total_items();
-    uint64_t id;
-    {
-      MutexLock lock(&state_mu_);
-      id = next_merged_id_++;
-      merged_[id] = std::make_shared<const MergedProvenanceIndex>(
-          std::move(merged).value());
-    }
-    std::string body;
-    AppendU64(&body, id);
-    AppendU64(&body, static_cast<uint64_t>(num_runs));
-    AppendU64(&body, static_cast<uint64_t>(total_items));
-    return OkResponse(body);
+    return RegisterMerged(
+        service_->CompactFiles(request.input_paths, request.path));
   }
 
   std::string HandleQueryAcrossRuns(const Request& request) {
     Result<ViewHandle> handle = LookupView(request.view_id);
     if (!handle.ok()) return ErrorResponse(handle.status());
-    std::shared_ptr<const MergedProvenanceIndex> merged =
-        LookupMerged(request.index_id);
-    if (merged == nullptr) {
-      return ErrorResponse(NotFound("merged index", request.index_id));
+    std::shared_ptr<const ProvenanceIndex> index =
+        LookupIndex(request.index_id);
+    if (index == nullptr) {
+      return ErrorResponse(NotFound("index", request.index_id));
     }
     Result<std::vector<bool>> answers = service_->QueryAcrossRuns(
-        *handle, *merged, request.run_pairs, request.mode);
+        *handle, *index, request.run_pairs, request.mode);
     if (!answers.ok()) return ErrorResponse(answers.status());
     std::string body;
     AppendBools(&body, *answers);
@@ -660,11 +598,30 @@ class ProvenanceServer::Impl {
     return it == indexes_.end() ? nullptr : it->second;
   }
 
-  std::shared_ptr<const MergedProvenanceIndex> LookupMerged(
-      uint64_t merged_id) FVL_EXCLUDES(state_mu_) {
+  // --- Registration --------------------------------------------------------
+
+  // Registers `index` under the next id of the one index registry —
+  // snapshots, merges, mapped archives and compactions share it, so every
+  // query op accepts every id.
+  uint64_t RegisterIndex(ProvenanceIndex index) FVL_EXCLUDES(state_mu_) {
     MutexLock lock(&state_mu_);
-    auto it = merged_.find(merged_id);
-    return it == merged_.end() ? nullptr : it->second;
+    const uint64_t id = next_index_id_++;
+    indexes_[id] = std::make_shared<const ProvenanceIndex>(std::move(index));
+    return id;
+  }
+
+  // Registers a merge/compaction/open result and answers in the multi-run
+  // response layout, `id | num_runs | num_items`.
+  std::string RegisterMerged(Result<ProvenanceIndex> index)
+      FVL_EXCLUDES(state_mu_) {
+    if (!index.ok()) return ErrorResponse(index.status());
+    const int num_runs = index->num_runs();
+    const int num_items = index->num_items();
+    std::string body;
+    AppendU64(&body, RegisterIndex(std::move(index).value()));
+    AppendU64(&body, static_cast<uint64_t>(num_runs));
+    AppendU64(&body, static_cast<uint64_t>(num_items));
+    return OkResponse(body);
   }
 
   // --- State --------------------------------------------------------------
@@ -683,18 +640,15 @@ class ProvenanceServer::Impl {
       FVL_GUARDED_BY(conns_mu_);
 
   // Wire-visible registries. Mutable: the const stats() reader walks the
-  // index maps under it to aggregate cache counters.
+  // index map under it to aggregate cache counters.
   mutable Mutex state_mu_;
   std::vector<ViewHandle> views_ FVL_GUARDED_BY(state_mu_);
   std::unordered_map<uint64_t, std::shared_ptr<SessionEntry>> sessions_
       FVL_GUARDED_BY(state_mu_);
   std::unordered_map<uint64_t, std::shared_ptr<const ProvenanceIndex>>
       indexes_ FVL_GUARDED_BY(state_mu_);
-  std::unordered_map<uint64_t, std::shared_ptr<const MergedProvenanceIndex>>
-      merged_ FVL_GUARDED_BY(state_mu_);
   uint64_t next_session_id_ FVL_GUARDED_BY(state_mu_) = 1;
   uint64_t next_index_id_ FVL_GUARDED_BY(state_mu_) = 1;
-  uint64_t next_merged_id_ FVL_GUARDED_BY(state_mu_) = 1;
 
   // Coalescing queue.
   Mutex batch_mu_;

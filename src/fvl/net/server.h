@@ -4,9 +4,11 @@
 // One server wraps one ProvenanceService and exposes the full session
 // lifecycle over the wire protocol of net/wire.h: register-view /
 // begin-run / apply / snapshot / snapshot-delta / depends-many /
-// visibility-sweep / merge-runs / query-across-runs. Views, sessions,
-// snapshots and merged artifacts live server-side behind small integer
-// ids, so queries ship ids and answers — never labels or arenas.
+// visibility-sweep / merge-runs / query-across-runs. Views, sessions and
+// indexes live server-side behind small integer ids, so queries ship ids
+// and answers — never labels or arenas. Snapshots, merges, mapped archives
+// and compactions share one index registry and id space, so every query
+// op accepts every index id.
 //
 // Threading: one accept loop, one thread per connection, and one shared
 // *batcher* thread. Point dependency queries (MsgType::kDepends) are not
@@ -56,8 +58,9 @@ struct ServerStats {
   uint64_t frames = 0;         // request frames processed
   uint64_t connections = 0;    // connections accepted
 
-  // Serving-cache effectiveness, summed over every index and merged index
-  // currently registered with the server (each snapshot owns its caches —
+  // Serving-cache effectiveness, summed over every index (snapshot, merge,
+  // mapped archive or compaction) currently registered with the server —
+  // one registry, one id space (each index owns its caches —
   // core/serving_cache.h — so these reset when snapshots are replaced, not
   // when the server restarts).
   uint64_t label_hits = 0;   // decoded-label cache hits

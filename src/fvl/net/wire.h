@@ -95,7 +95,7 @@ struct Request {
   MsgType type = MsgType::kPing;
   uint64_t session_id = 0;
   uint64_t view_id = 0;
-  uint64_t index_id = 0;  // the merged-index id for kQueryAcrossRuns
+  uint64_t index_id = 0;
   ViewLabelMode mode = ViewLabelMode::kQueryEfficient;
   uint64_t instance = 0;
   uint64_t production = 0;
@@ -105,7 +105,7 @@ struct Request {
   std::vector<std::pair<RunItem, RunItem>> run_pairs;  // kQueryAcrossRuns
   std::vector<uint64_t> index_ids;                    // kMergeRuns
   View view;                                          // kRegisterView
-  bool merged_file = false;              // kOpenIndexFile: archive kind
+  bool merged_file = false;              // kOpenIndexFile: response layout
   std::string path;                      // kOpenIndexFile; kCompactFiles out
   std::vector<std::string> input_paths;  // kCompactFiles
 };
@@ -155,8 +155,9 @@ std::string EncodeQueryAcrossRunsRequest(
     std::span<const std::pair<RunItem, RunItem>> queries);
 std::string EncodeStatsRequest();
 // Body: `u8 merged | u64 len | path`. The path names a file on the
-// server's filesystem (the server maps it; the bytes never cross the
-// wire).
+// server's filesystem (the server maps it, whatever its format; the bytes
+// never cross the wire). `merged` only picks the response layout:
+// `id | num_runs | num_items` when set, `id | num_items` otherwise.
 std::string EncodeOpenIndexFileRequest(std::string_view path, bool merged);
 // Body: `u64 out_len | out_path | u64 count | (u64 len | path)*`.
 std::string EncodeCompactFilesRequest(std::span<const std::string> input_paths,

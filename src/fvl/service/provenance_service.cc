@@ -245,9 +245,18 @@ Result<std::vector<bool>> ProvenanceService::BatchDepends(
   // entry exists only for pairs this snapshot already answered, over labels
   // that already passed vetting, so the uncached path would recompute the
   // identical bit (and could not have errored on those items either).
+  // Pairs spanning two runs of a multi-run store are false by definition —
+  // separate executions share no data flow, and the predicate's path
+  // comparisons are only meaningful for labels of one parse tree — so they
+  // keep their zero answer and are never decoded.
+  const bool multi_run = store.num_groups() > 1;
   std::vector<size_t> pending;
   pending.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
+    if (multi_run && store.GroupOf(queries[q].first) !=
+                         store.GroupOf(queries[q].second)) {
+      continue;
+    }
     bool memoized = false;
     if (cache != nullptr &&
         cache->LookupReach(
@@ -349,67 +358,13 @@ Result<std::vector<bool>> ProvenanceService::DependsMany(
   return BatchDepends(handle, index.store(), queries, mode, CacheFor(index));
 }
 
-Result<std::vector<bool>> ProvenanceService::MergedBatch(
-    ViewHandle handle, const MergedProvenanceIndex& index,
-    std::span<const std::pair<int, int>> flat, ViewLabelMode mode) {
-  // Validate the handle up front: it must be reported (kNotFound) even when
-  // every pair crosses runs and the decoder is never consulted.
-  {
-    MutexLock lock(&mu_);
-    if (Result<const ViewEntry*> entry = std::as_const(*this).EntryOf(handle);
-        !entry.ok()) {
-      return entry.status();
-    }
-  }
-  // Cross-run pairs are false by definition — separate executions share no
-  // data flow, and the decoding predicate's path comparisons are only
-  // meaningful for labels of one parse tree. Only same-run pairs reach
-  // BatchDepends (which still decodes each distinct flat id once).
-  std::vector<bool> answers(flat.size(), false);
-  std::vector<std::pair<int, int>> same_run;
-  std::vector<size_t> positions;
-  for (size_t q = 0; q < flat.size(); ++q) {
-    if (index.RunOf(flat[q].first) == index.RunOf(flat[q].second)) {
-      same_run.push_back(flat[q]);
-      positions.push_back(q);
-    }
-  }
-  if (!same_run.empty()) {
-    Result<std::vector<bool>> sub =
-        BatchDepends(handle, index.store(), same_run, mode, CacheFor(index));
-    if (!sub.ok()) return sub.status();
-    for (size_t i = 0; i < positions.size(); ++i) {
-      answers[positions[i]] = (*sub)[i];
-    }
-  }
-  return answers;
-}
-
-Result<std::vector<bool>> ProvenanceService::DependsMany(
-    ViewHandle handle, const MergedProvenanceIndex& index,
-    std::span<const std::pair<int, int>> queries, ViewLabelMode mode) {
-  if (Status status = CheckIndexCompatible(index); !status.ok()) {
-    return status;
-  }
-  for (const auto& [d1, d2] : queries) {
-    if (d1 < 0 || d1 >= index.total_items() || d2 < 0 ||
-        d2 >= index.total_items()) {
-      return Status::Error(ErrorCode::kInvalidArgument,
-                           "query item (" + std::to_string(d1) + ", " +
-                               std::to_string(d2) + ") out of range [0, " +
-                               std::to_string(index.total_items()) + ")");
-    }
-  }
-  return MergedBatch(handle, index, queries, mode);
-}
-
 Result<std::vector<bool>> ProvenanceService::QueryAcrossRuns(
-    ViewHandle handle, const MergedProvenanceIndex& index,
+    ViewHandle handle, const ProvenanceIndex& index,
     std::span<const std::pair<RunItem, RunItem>> queries, ViewLabelMode mode) {
   if (Status status = CheckIndexCompatible(index); !status.ok()) {
     return status;
   }
-  // Map (run, item) addresses to flat ids up front; MergedBatch then
+  // Map (run, item) addresses to flat ids up front; BatchDepends then
   // decodes each distinct flat id once regardless of which runs the batch
   // touches.
   std::vector<std::pair<int, int>> flat;
@@ -430,12 +385,12 @@ Result<std::vector<bool>> ProvenanceService::QueryAcrossRuns(
           "query address (run " + std::to_string(a.run) + " item " +
               std::to_string(a.item) + ", run " + std::to_string(b.run) +
               " item " + std::to_string(b.item) +
-              ") out of range for a merged index of " +
+              ") out of range for an index of " +
               std::to_string(index.num_runs()) + " runs");
     }
     flat.push_back(ids);
   }
-  return MergedBatch(handle, index, flat, mode);
+  return BatchDepends(handle, index.store(), flat, mode, CacheFor(index));
 }
 
 bool ProvenanceService::LabelInBounds(const DataLabel& label) const {
@@ -504,15 +459,8 @@ Status ProvenanceService::CheckCodecCompatible(const LabelCodec& codec,
 
 Status ProvenanceService::CheckIndexCompatible(
     const ProvenanceIndex& index) const {
-  return CheckCodecCompatible(index.codec(), "index");
-}
-
-Status ProvenanceService::CheckIndexCompatible(
-    const MergedProvenanceIndex& index) const {
-  // An empty merge (zero runs) carries no labels at all, so it is
-  // vacuously compatible; queries against it can only return empty results.
   if (index.num_runs() == 0) return Status::Ok();
-  return CheckCodecCompatible(index.codec(), "merged index");
+  return CheckCodecCompatible(index.codec(), "index");
 }
 
 Result<std::vector<bool>> ProvenanceService::SweepVisibility(
@@ -565,28 +513,20 @@ Result<std::vector<bool>> ProvenanceService::VisibilitySweep(
   return SweepVisibility(handle, index.store(), mode, CacheFor(index));
 }
 
-Result<std::vector<bool>> ProvenanceService::VisibilitySweep(
-    ViewHandle handle, const MergedProvenanceIndex& index,
-    ViewLabelMode mode) {
-  if (Status status = CheckIndexCompatible(index); !status.ok()) {
-    return status;
-  }
-  return SweepVisibility(handle, index.store(), mode, CacheFor(index));
-}
-
-Result<MergedProvenanceIndex> ProvenanceService::MergeRunsStreamed(
+Result<ProvenanceIndex> ProvenanceService::MergeRunsStreamed(
     std::span<const std::string_view> blobs) {
-  MergeStream stream;
+  CompactStream stream;
   for (size_t b = 0; b < blobs.size(); ++b) {
     if (Status status = stream.Append(blobs[b]); !status.ok()) {
       return Status::Error(status.code(), "blob " + std::to_string(b) + ": " +
                                               status.message());
     }
     // Mutually consistent runs of a *foreign* specification still must not
-    // feed this service's decoder. The stream pins every later blob to run
-    // 0's codec, so checking once after the first append rejects a foreign
-    // batch after one blob instead of paying the full merge first.
-    if (b == 0) {
+    // feed this service's decoder. The stream pins every later blob to the
+    // first run's codec, so vetting the stream's codec as blobs land
+    // rejects a foreign batch after its first run instead of paying the
+    // full merge first.
+    if (stream.num_runs() > 0) {
       if (Status status = CheckCodecCompatible(stream.codec(), "run 0");
           !status.ok()) {
         return status;
@@ -606,17 +546,7 @@ Result<ProvenanceIndex> ProvenanceService::OpenIndexFile(
   return index;
 }
 
-Result<MergedProvenanceIndex> ProvenanceService::OpenMergedIndexFile(
-    const std::string& path) const {
-  Result<MergedProvenanceIndex> index = MergedProvenanceIndex::Map(path);
-  if (!index.ok()) return index.status();
-  if (Status status = CheckIndexCompatible(*index); !status.ok()) {
-    return status;
-  }
-  return index;
-}
-
-Result<MergedProvenanceIndex> ProvenanceService::CompactFiles(
+Result<ProvenanceIndex> ProvenanceService::CompactFiles(
     std::span<const std::string> input_paths,
     const std::string& output_path) const {
   CompactStream stream;
@@ -632,16 +562,15 @@ Result<MergedProvenanceIndex> ProvenanceService::CompactFiles(
       return Status::Error(status.code(), "input " + std::to_string(i) + ": " +
                                               status.message());
     }
-    // Same early foreign-batch rejection as MergeRunsStreamed: the stream
-    // pins later inputs to input 0's codec, so one check suffices.
-    if (i == 0) {
+    // Same early foreign-batch rejection as MergeRunsStreamed.
+    if (stream.num_runs() > 0) {
       if (Status status = CheckCodecCompatible(stream.codec(), "input 0");
           !status.ok()) {
         return status;
       }
     }
   }
-  Result<MergedProvenanceIndex> compacted = std::move(stream).Finish();
+  Result<ProvenanceIndex> compacted = std::move(stream).Finish();
   if (!compacted.ok()) return compacted.status();
   Result<FileHandle> out = FileHandle::CreateTruncate(output_path);
   if (!out.ok()) return out.status();

@@ -86,8 +86,8 @@ class ViewHandle {
   uint64_t service_tag_ = 0;
 };
 
-// (run, local_item) address into a MergedProvenanceIndex — the item-id
-// scheme of multi-run artifacts (ProvenanceService::QueryAcrossRuns).
+// (run, local_item) address into a ProvenanceIndex — the item-id scheme of
+// multi-run artifacts (ProvenanceService::QueryAcrossRuns).
 struct RunItem {
   int run = -1;
   int item = -1;
@@ -222,70 +222,60 @@ class ProvenanceService
                        const DataLabel& d2,
                        ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
 
-  // Batch entry point: answers queries[i] = {d1, d2} (item ids into
-  // `index`) against one view. Each distinct item is decoded once per call,
-  // amortizing decode cost across the batch (see
-  // bench/bench_service_throughput.cc). Fails with kInvalidArgument if any
-  // item id is out of range or the index was built for a different
-  // specification (its codec disagrees with this service's grammar).
+  // Batch entry point: answers queries[i] = {d1, d2} (flat item ids into
+  // `index`, ProvenanceIndex::GlobalId) against one view. Each distinct
+  // item is decoded once per call, amortizing decode cost across the batch
+  // (see bench/bench_service_throughput.cc). Pairs whose items fall in
+  // different runs of a multi-run index answer false without decoding —
+  // separate executions share no data flow, and the decoding predicate is
+  // only defined over labels of one parse tree. Fails with
+  // kInvalidArgument if any item id is out of range or the index was built
+  // for a different specification (its codec disagrees with this
+  // service's grammar).
   [[nodiscard]] Result<std::vector<bool>> DependsMany(
       ViewHandle handle, const ProvenanceIndex& index,
       std::span<const std::pair<int, int>> queries,
       ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
 
-  // Visibility sweep (§5): per item of `index`, whether it is visible in
-  // the view's projection of the run.
+  // Visibility sweep (§5): per item of `index` (flat-id order across all
+  // runs), whether it is visible in the view's projection of its run.
   [[nodiscard]] Result<std::vector<bool>> VisibilitySweep(
       ViewHandle handle, const ProvenanceIndex& index,
       ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
 
   // --- Multi-run queries ----------------------------------------------------
   //
-  // One merged artifact (ProvenanceIndex::Merge) covers many runs of this
-  // service's specification; these entry points answer against all of them
-  // in one call, decoding each distinct item once per call just like the
-  // single-run batch paths (see bench/bench_merge_query.cc).
+  // A multi-run index (ProvenanceIndex::Merge) covers many runs of this
+  // service's specification; DependsMany and VisibilitySweep above already
+  // answer against all of them in one call. This entry point adds
+  // (run, item) addressing, decoding each distinct item once per call just
+  // like the flat-id batch path (see bench/bench_merge_query.cc).
 
   // Cross-run batch queries: queries[i] = {a, b} with each side addressed
   // as a (run, local_item) pair. Pairs within one run are answered by the
-  // decoding predicate; pairs spanning two runs are false by definition —
-  // separate executions share no data flow (and the predicate is only
-  // defined over labels of one parse tree). kInvalidArgument if any address
-  // is out of range or the merged index was built for a different
-  // specification; an empty query span (or an empty merged index with no
-  // queries) returns an empty vector rather than erroring.
+  // decoding predicate; pairs spanning two runs are false, as in
+  // DependsMany. kInvalidArgument if any address is out of range or the
+  // index was built for a different specification; an empty query span
+  // (or a zero-run index with no queries) returns an empty vector rather
+  // than erroring.
   [[nodiscard]] Result<std::vector<bool>> QueryAcrossRuns(
-      ViewHandle handle, const MergedProvenanceIndex& index,
+      ViewHandle handle, const ProvenanceIndex& index,
       std::span<const std::pair<RunItem, RunItem>> queries,
       ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
 
-  // Merged-index overload of DependsMany: query sides are flat item ids
-  // (MergedProvenanceIndex::GlobalId) into the merged arena; pairs whose
-  // ids fall in different runs answer false, as in QueryAcrossRuns.
-  [[nodiscard]] Result<std::vector<bool>> DependsMany(
-      ViewHandle handle, const MergedProvenanceIndex& index,
-      std::span<const std::pair<int, int>> queries,
-      ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
-
-  // Merged-index overload of VisibilitySweep: one entry per item across all
-  // merged runs, in flat-id order.
-  [[nodiscard]] Result<std::vector<bool>> VisibilitySweep(
-      ViewHandle handle, const MergedProvenanceIndex& index,
-      ViewLabelMode mode = ViewLabelMode::kQueryEfficient);
-
-  // Memory-bounded merge of serialized run snapshots (FVLIDX2 blobs, in
-  // run order): each blob is deserialized and appended one at a time via
-  // MergeStream (core/index.h), so peak memory is O(largest run + output)
-  // instead of O(sum of runs) — the way to combine many long-execution
-  // checkpoint files without materializing them all. The result is
-  // bit-identical to deserializing everything and calling
-  // ProvenanceIndex::Merge, and is verified against this service's
-  // specification so it is immediately queryable. Error taxonomy: a blob
-  // that does not parse or decode is kMalformedBlob; runs of mismatched
-  // specifications (between blobs, or against this service) are
-  // kInvalidArgument; an empty span yields an empty merged index. Never
-  // aborts on untrusted input.
-  [[nodiscard]] Result<MergedProvenanceIndex> MergeRunsStreamed(
+  // Memory-bounded merge of serialized indexes (any format — FVLIDX3 run
+  // snapshots and FVLMRG2 multi-run archives alike — in run order): each
+  // blob is parsed and appended one at a time via CompactStream
+  // (core/index.h), so peak memory is O(largest blob + output) instead of
+  // O(sum of blobs) — the way to combine many long-execution checkpoint
+  // files without materializing them all. The result is bit-identical to
+  // deserializing everything and calling ProvenanceIndex::Merge, and is
+  // verified against this service's specification so it is immediately
+  // queryable. Error taxonomy: a blob that does not parse or decode is
+  // kMalformedBlob; runs of mismatched specifications (between blobs, or
+  // against this service) are kInvalidArgument; an empty span yields a
+  // zero-run index. Never aborts on untrusted input.
+  [[nodiscard]] Result<ProvenanceIndex> MergeRunsStreamed(
       std::span<const std::string_view> blobs);
 
   // --- On-disk tier ---------------------------------------------------------
@@ -299,24 +289,26 @@ class ProvenanceService
   // not a valid index), kInvalidArgument (valid index of a foreign
   // specification). Never aborts on an untrusted path or file.
 
-  // Maps a serialized single-run index (FVLIDX3/FVLIDX2 file) read-only.
+  // Maps a serialized index file of any format read-only.
   [[nodiscard]] Result<ProvenanceIndex> OpenIndexFile(
       const std::string& path) const;
-
-  // Maps a serialized merged index (FVLMRG2/FVLMRG1 file) read-only.
-  [[nodiscard]] Result<MergedProvenanceIndex> OpenMergedIndexFile(
-      const std::string& path) const;
+  // The same call under its former multi-run name.
+  [[nodiscard]] Result<ProvenanceIndex> OpenMergedIndexFile(
+      const std::string& path) const {
+    return OpenIndexFile(path);
+  }
 
   // LSM-style re-merge of on-disk artifacts: maps each input (single-run
   // or already-merged, any mix), folds them through CompactStream
   // (core/index.h) so peak heap is O(largest input tail + output) — input
   // arenas are read straight from their mappings, never materialized — and
-  // writes the compacted FVLMRG2 archive to `output_path`. Returns the
-  // compacted index heap-backed and ready to serve (callers wanting the
-  // file-served form re-open via OpenMergedIndexFile). Inputs are
-  // annotated "input N: " in errors; write failures are kIo and may leave
-  // a partial output file behind (compaction reruns are idempotent).
-  [[nodiscard]] Result<MergedProvenanceIndex> CompactFiles(
+  // writes the compacted archive (ProvenanceIndex::Serialize) to
+  // `output_path`. Returns the compacted index heap-backed and ready to
+  // serve (callers wanting the file-served form re-open via
+  // OpenIndexFile). Inputs are annotated "input N: " in errors; write
+  // failures are kIo and may leave a partial output file behind
+  // (compaction reruns are idempotent).
+  [[nodiscard]] Result<ProvenanceIndex> CompactFiles(
       std::span<const std::string> input_paths,
       const std::string& output_path) const;
 
@@ -349,18 +341,19 @@ class ProvenanceService
   // cleanly); -1 when absent.
   int FindRegularViewLocked(const View& wanted) const FVL_REQUIRES(mu_);
   // The one compatibility criterion between this service and any labeled
-  // artifact (indexes, merged indexes, streamed-merge inputs): the
-  // artifact's codec must equal the grammar's. Every entry point that
-  // accepts untrusted artifacts funnels through it, so tightening the
-  // criterion cannot miss a path.
+  // artifact (indexes, streamed-merge inputs): the artifact's codec must
+  // equal the grammar's. Every entry point that accepts untrusted artifacts
+  // funnels through it, so tightening the criterion cannot miss a path.
   [[nodiscard]] Status CheckCodecCompatible(const LabelCodec& codec,
                               const char* artifact) const;
+  // CheckCodecCompatible for an index; a zero-run index carries no labels
+  // at all, so it is vacuously compatible (queries against it can only
+  // return empty results).
   [[nodiscard]] Status CheckIndexCompatible(const ProvenanceIndex& index) const;
-  [[nodiscard]] Status CheckIndexCompatible(const MergedProvenanceIndex& index) const;
   // Shared decode-once batch cores behind DependsMany / QueryAcrossRuns and
-  // the visibility sweeps, walking the frozen store's span streams directly
-  // (both the single-run and merged item spaces are the store's flat-id
-  // space; ids are pre-validated against store.total_items()). Each decode
+  // the visibility sweep, walking the frozen store's span streams directly
+  // (queries address the store's flat-id space; BatchDepends validates
+  // them against store.total_items()). Each decode
   // shard keeps its own LabelStore::SpanCursor, so sequential walks pay
   // amortized O(1) per item against the compact v2 layout. `cache` is the
   // owning index's serving cache, or nullptr to run uncached (empty index,
@@ -372,20 +365,12 @@ class ProvenanceService
       ViewHandle handle, const LabelStore& store,
       std::span<const std::pair<int, int>> queries, ViewLabelMode mode,
       ServingCache* cache);
-  // Merged-index batch core over pre-validated flat id pairs: answers
-  // same-run pairs through BatchDepends and cross-run pairs as false.
-  [[nodiscard]] Result<std::vector<bool>> MergedBatch(
-      ViewHandle handle, const MergedProvenanceIndex& index,
-      std::span<const std::pair<int, int>> flat, ViewLabelMode mode);
   [[nodiscard]] Result<std::vector<bool>> SweepVisibility(
       ViewHandle handle, const LabelStore& store, ViewLabelMode mode,
       ServingCache* cache);
   // The serving cache batch queries against `index` should consult:
   // the index's own, or nullptr when caching is disabled.
   ServingCache* CacheFor(const ProvenanceIndex& index) const {
-    return serving_cache_enabled() ? index.serving_cache() : nullptr;
-  }
-  ServingCache* CacheFor(const MergedProvenanceIndex& index) const {
     return serving_cache_enabled() ? index.serving_cache() : nullptr;
   }
   // Whether every decoded field indexes inside this grammar's tables; the

@@ -162,7 +162,7 @@ TEST(ServingCache, LabelAndReachRoundTripWithExactKeys) {
 
 TEST(ServingCache, EmptySnapshotsCarryNoCache) {
   EXPECT_EQ(internal::MakeServingCache(0), nullptr);
-  MergedProvenanceIndex empty;
+  ProvenanceIndex empty;
   EXPECT_EQ(empty.serving_cache(), nullptr);
 }
 
@@ -267,10 +267,9 @@ TEST(CacheDifferential, RandomizedSyntheticSpecsSingleAndMerged) {
 
     // Merged differential: flat-id pairs, including cross-run pairs (false
     // by definition — must stay false with the memo engaged).
-    MergedProvenanceIndex merged =
-        ProvenanceIndex::Merge(snapshots).value();
+    ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
     ASSERT_NE(merged.serving_cache(), nullptr);
-    const auto flat = RandomQueries(merged.total_items(), 200, 900 + s);
+    const auto flat = RandomQueries(merged.num_items(), 200, 900 + s);
     for (ViewLabelMode mode : kAllModes) {
       service->set_serving_cache_enabled(false);
       const std::vector<bool> expected =
@@ -496,8 +495,7 @@ TEST(ServingCacheLazy, FreshlyFrozenIndexesHoldNoCacheSlotsUntilQueried) {
   ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
   std::filesystem::remove(path);  // the mapping keeps the contents alive
   ProvenanceIndex reassembled = ProvenanceIndex::FromDeltas({&delta, 1}).value();
-  MergedProvenanceIndex merged =
-      ProvenanceIndex::Merge({&snapshot, 1}).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge({&snapshot, 1}).value();
 
   EXPECT_EQ(resident(snapshot.serving_cache()), 0u);
   EXPECT_EQ(resident(delta.serving_cache()), 0u);

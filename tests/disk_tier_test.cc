@@ -22,9 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "fvl/core/label_store.h"
 #include "fvl/run/provenance_oracle.h"
 #include "fvl/service/provenance_service.h"
+#include "fvl/util/check.h"
 #include "fvl/util/file.h"
 #include "fvl/util/random.h"
 #include "fvl/workload/paper_example.h"
@@ -43,8 +46,28 @@ constexpr ViewLabelMode kAllModes[] = {ViewLabelMode::kSpaceEfficient,
                                        ViewLabelMode::kDefault,
                                        ViewLabelMode::kQueryEfficient};
 
+// Every file the suite writes lives in one private directory, made on
+// first use and removed at exit: runs leave nothing behind, and concurrent
+// runs of the suite cannot overwrite each other's archives.
+const std::string& ScratchDir() {
+  static const struct Dir {
+    std::string path;
+    Dir() {
+      const char* tmp = std::getenv("TMPDIR");
+      path = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
+      path += "/fvl_disk_tier_XXXXXX";
+      FVL_CHECK(::mkdtemp(path.data()) != nullptr);
+    }
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  return dir.path;
+}
+
 std::string TempPath(const std::string& name) {
-  return "/tmp/fvl_disk_tier_" + name;
+  return ScratchDir() + "/" + name;
 }
 
 void WriteFileOrDie(const std::string& path, std::string_view blob) {
@@ -131,12 +154,12 @@ TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
                             .seed = 61 + static_cast<uint64_t>(r)}));
     snapshots.push_back(sessions.back()->Snapshot());
   }
-  MergedProvenanceIndex heap = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex heap = ProvenanceIndex::Merge(snapshots).value();
   const std::string blob = heap.Serialize();
   const std::string path = TempPath("merged.fvlmrg");
   WriteFileOrDie(path, blob);
 
-  MergedProvenanceIndex mapped = MergedProvenanceIndex::Map(path).value();
+  ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
   EXPECT_TRUE(mapped.store().arena_borrowed() ||
               mapped.store().arena_bits() == 0);
   EXPECT_EQ(mapped.Serialize(), blob);
@@ -195,7 +218,7 @@ TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
 
   // L0 -> L1: compacting the run files equals merging the snapshots.
   const std::string l1_path = TempPath("l1.fvlmrg");
-  MergedProvenanceIndex compacted =
+  ProvenanceIndex compacted =
       fx.service->CompactFiles(l0_paths, l1_path).value();
   EXPECT_EQ(compacted.num_runs(), 4);
   EXPECT_EQ(ReadFileOrDie(l1_path), expected);
@@ -213,7 +236,7 @@ TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
                              .Serialize());
   const std::string l2_path = TempPath("l2.fvlmrg");
   std::vector<std::string> level1 = {half_a, half_b};
-  MergedProvenanceIndex recompacted =
+  ProvenanceIndex recompacted =
       fx.service->CompactFiles(level1, l2_path).value();
   EXPECT_EQ(recompacted.num_runs(), 4);
   EXPECT_EQ(ReadFileOrDie(l2_path), expected);
@@ -222,7 +245,7 @@ TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
   // one folds into the same grouped shape.
   std::vector<std::string> mixed = {half_b, l0_paths[0]};
   const std::string mixed_path = TempPath("mixed.fvlmrg");
-  MergedProvenanceIndex from_mixed =
+  ProvenanceIndex from_mixed =
       fx.service->CompactFiles(mixed, mixed_path).value();
   EXPECT_EQ(from_mixed.num_runs(), 4);
 }
@@ -240,7 +263,7 @@ TEST(DiskTierCompaction, PeakLiveStoresIndependentOfInputCount) {
     }
     const int base = internal::StoreCountProbe::live();
     internal::StoreCountProbe::ResetPeak();
-    MergedProvenanceIndex compacted =
+    ProvenanceIndex compacted =
         fx.service->CompactFiles(paths, TempPath("peak_out.fvlmrg")).value();
     EXPECT_EQ(compacted.num_runs(), num_inputs);
     return internal::StoreCountProbe::peak() - base;
@@ -334,22 +357,45 @@ TEST(DiskTierErrors, FileAndContentFailuresAreTyped) {
   ASSERT_FALSE(garbage.ok());
   EXPECT_EQ(garbage.status().code(), ErrorCode::kMalformedBlob);
 
-  // Wrong format for the endpoint: a single-run archive is not a merged
-  // one and vice versa.
+  // Either endpoint maps either format: a single-run archive opened as a
+  // merged one is that run, and a multi-run archive opened through
+  // OpenIndexFile answers exactly as the in-process Merge.
   auto session = fx.service->GenerateLabeledRun(
       RunGeneratorOptions{.target_items = 80, .seed = 5});
   ProvenanceIndex snapshot = session->Snapshot();
   const std::string single_path = TempPath("format_single.fvlidx");
   WriteFileOrDie(single_path, snapshot.Serialize());
-  EXPECT_FALSE(fx.service->OpenMergedIndexFile(single_path).ok());
+  ProvenanceIndex single_as_merged =
+      fx.service->OpenMergedIndexFile(single_path).value();
+  EXPECT_EQ(single_as_merged.num_runs(), 1);
+  EXPECT_EQ(single_as_merged.Serialize(), snapshot.Serialize());
+  std::vector<ProvenanceIndex> runs = {
+      snapshot, fx.service
+                    ->GenerateLabeledRun(
+                        RunGeneratorOptions{.target_items = 60, .seed = 6})
+                    ->Snapshot()};
+  ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
   const std::string merged_path = TempPath("format_merged.fvlmrg");
-  WriteFileOrDie(merged_path,
-                 ProvenanceIndex::Merge({&snapshot, 1}).value().Serialize());
-  EXPECT_FALSE(fx.service->OpenIndexFile(merged_path).ok());
+  WriteFileOrDie(merged_path, merged.Serialize());
+  ProvenanceIndex mapped = fx.service->OpenIndexFile(merged_path).value();
+  ASSERT_EQ(mapped.num_runs(), 2);
+  Rng rng(11);
+  std::vector<std::pair<RunItem, RunItem>> queries;
+  for (int q = 0; q < 60; ++q) {
+    RunItem a{rng.NextInt(0, 1), 0}, b{rng.NextInt(0, 1), 0};
+    a.item = rng.NextInt(0, mapped.num_items(a.run) - 1);
+    b.item = rng.NextInt(0, mapped.num_items(b.run) - 1);
+    queries.push_back({a, b});
+  }
+  for (ViewLabelMode mode : kAllModes) {
+    EXPECT_EQ(
+        fx.service->QueryAcrossRuns(fx.grey, mapped, queries, mode).value(),
+        fx.service->QueryAcrossRuns(fx.grey, merged, queries, mode).value());
+  }
 
   // Compaction attributes a bad input by position.
   std::vector<std::string> inputs = {single_path, garbage_path};
-  Result<MergedProvenanceIndex> compacted =
+  Result<ProvenanceIndex> compacted =
       fx.service->CompactFiles(inputs, TempPath("errors_out.fvlmrg"));
   ASSERT_FALSE(compacted.ok());
   EXPECT_NE(compacted.status().ToString().find("input 1"), std::string::npos)
@@ -410,8 +456,7 @@ TEST(DiskTierGolden, CommittedArchivesServeAndMatch) {
   // And the committed files actually serve through the mmap path.
   ProvenanceIndex run = fx.service->OpenIndexFile(run_path).value();
   EXPECT_GT(run.num_items(), 0);
-  MergedProvenanceIndex merged =
-      fx.service->OpenMergedIndexFile(merged_path).value();
+  ProvenanceIndex merged = fx.service->OpenIndexFile(merged_path).value();
   EXPECT_EQ(merged.num_runs(), 2);
   Rng rng(3);
   std::vector<std::pair<int, int>> queries;

@@ -304,22 +304,21 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusMerged) {
                                     .seed = 60 + static_cast<uint64_t>(r)})
             ->Snapshot());
   }
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   std::string blob = merged.Serialize();
 
   Rng rng(4096);
   int rejected = 0;
   for (int trial = 0; trial < 300; ++trial) {
     std::string corrupt = FlipBytes(blob, rng, 1 + trial % 3);
-    Result<MergedProvenanceIndex> parsed =
-        MergedProvenanceIndex::Deserialize(corrupt);
+    Result<ProvenanceIndex> parsed = ProvenanceIndex::Deserialize(corrupt);
     if (!parsed.ok()) {
       EXPECT_EQ(parsed.code(), ErrorCode::kMalformedBlob);
       ++rejected;
       continue;
     }
-    for (int global = 0; global < parsed->total_items(); global += 37) {
-      parsed->LabelByGlobalId(global);
+    for (int global = 0; global < parsed->num_items(); global += 37) {
+      parsed->Label(global);
     }
     if (parsed->num_runs() > 0 && parsed->num_items(0) > 1) {
       std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {0, 1}}};
@@ -334,17 +333,30 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusMerged) {
 
   for (int trial = 0; trial < 60; ++trial) {
     size_t cut = rng.NextBounded(blob.size());
-    EXPECT_EQ(MergedProvenanceIndex::Deserialize(blob.substr(0, cut)).code(),
+    EXPECT_EQ(ProvenanceIndex::Deserialize(blob.substr(0, cut)).code(),
               ErrorCode::kMalformedBlob)
         << "cut=" << cut;
   }
 
-  // Cross-format confusion: a single-run blob is not a merged blob and
-  // vice versa (distinct magics), rejected rather than misparsed.
-  EXPECT_EQ(MergedProvenanceIndex::Deserialize(snapshots[0].Serialize())
-                .code(),
-            ErrorCode::kMalformedBlob);
-  EXPECT_EQ(ProvenanceIndex::Deserialize(blob).code(),
+  // One index type reads every format: the merged blob parses to an index
+  // whose answers equal Merge's, a one-run Merge serializes byte-identical
+  // to that run's FVLIDX3 blob, and an unknown magic is still rejected
+  // rather than misparsed.
+  Result<ProvenanceIndex> restored = ProvenanceIndex::Deserialize(blob);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->num_runs(), 3);
+  std::vector<std::pair<int, int>> flat;
+  for (int q = 0; q < 200; ++q) {
+    flat.push_back({rng.NextInt(0, merged.num_items() - 1),
+                    rng.NextInt(0, merged.num_items() - 1)});
+  }
+  const ViewHandle view = service->default_view();
+  EXPECT_EQ(service->DependsMany(view, *restored, flat).value(),
+            service->DependsMany(view, merged, flat).value());
+  EXPECT_EQ(ProvenanceIndex::Merge({&snapshots[0], 1}).value().Serialize(),
+            snapshots[0].Serialize());
+  const std::string unknown = "FVLXYZ9" + blob.substr(7);
+  EXPECT_EQ(ProvenanceIndex::Deserialize(unknown).code(),
             ErrorCode::kMalformedBlob);
 }
 
@@ -363,7 +375,7 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusUnifiedTail) {
   std::vector<ProvenanceIndex> runs;
   runs.push_back(ProvenanceIndex::Deserialize(single).value());
   runs.push_back(ProvenanceIndex::Deserialize(single).value());
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
   std::string merged_blob = merged.Serialize();
   // magic + num_runs/total_items/arena_bits + run table
   const size_t merged_tail = 8 + 24 + 8 * runs.size();
@@ -387,15 +399,15 @@ TEST_F(IndexTest, RandomizedCorruptionCorpusUnifiedTail) {
     corrupt = merged_blob;
     pos = merged_tail + rng.NextBounded(corrupt.size() - merged_tail);
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1u << rng.NextBounded(8)));
-    Result<MergedProvenanceIndex> parsed_merged =
-        MergedProvenanceIndex::Deserialize(corrupt);
+    Result<ProvenanceIndex> parsed_merged =
+        ProvenanceIndex::Deserialize(corrupt);
     if (!parsed_merged.ok()) {
       EXPECT_EQ(parsed_merged.code(), ErrorCode::kMalformedBlob);
       ++rejected_merged;
     } else {
-      for (int global = 0; global < parsed_merged->total_items();
+      for (int global = 0; global < parsed_merged->num_items();
            global += 29) {
-        parsed_merged->LabelByGlobalId(global);
+        parsed_merged->Label(global);
       }
     }
   }

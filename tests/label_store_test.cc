@@ -228,7 +228,7 @@ TEST_F(LabelStoreTest, AppendGroupsRebasesInlinedLabels) {
   std::vector<ProvenanceIndex> runs;
   runs.push_back(a->Snapshot());
   runs.push_back(b->Snapshot());
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
   EXPECT_EQ(merged.store().inline_items(), bulk.inline_items());
   std::string merged_tail;
   merged.store().AppendTail(&merged_tail);

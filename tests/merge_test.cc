@@ -34,7 +34,7 @@ constexpr ViewLabelMode kAllModes[] = {ViewLabelMode::kSpaceEfficient,
 struct MergedRuns {
   std::vector<std::shared_ptr<ProvenanceSession>> sessions;
   std::vector<ProvenanceIndex> snapshots;
-  MergedProvenanceIndex merged;
+  ProvenanceIndex merged;
 };
 
 MergedRuns MakeRuns(const std::shared_ptr<ProvenanceService>& service,
@@ -147,7 +147,7 @@ TEST(MergeDifferential, RandomizedSyntheticSpecs) {
 TEST(MergeDifferential, MergedLabelsAreBitIdenticalToPerRunSnapshots) {
   auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   MergedRuns runs = MakeRuns(service, 3, 100, 5);
-  ASSERT_EQ(runs.merged.total_items(),
+  ASSERT_EQ(runs.merged.num_items(),
             runs.snapshots[0].num_items() + runs.snapshots[1].num_items() +
                 runs.snapshots[2].num_items());
   for (size_t r = 0; r < runs.snapshots.size(); ++r) {
@@ -235,11 +235,10 @@ TEST(MergeSerialization, SelfDescribingRoundTrip) {
   MergedRuns runs = MakeRuns(service, 3, 100, 19);
 
   std::string blob = runs.merged.Serialize();
-  Result<MergedProvenanceIndex> restored =
-      MergedProvenanceIndex::Deserialize(blob);
+  Result<ProvenanceIndex> restored = ProvenanceIndex::Deserialize(blob);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_EQ(restored->num_runs(), runs.merged.num_runs());
-  ASSERT_EQ(restored->total_items(), runs.merged.total_items());
+  ASSERT_EQ(restored->num_items(), runs.merged.num_items());
   for (int r = 0; r < restored->num_runs(); ++r) {
     ASSERT_EQ(restored->num_items(r), runs.merged.num_items(r));
     for (int item = 0; item < restored->num_items(r); ++item) {
@@ -276,14 +275,13 @@ TEST(MergeErrors, MismatchedSpecificationsRejected) {
                       ->GenerateLabeledRun(
                           RunGeneratorOptions{.target_items = 50, .seed = 2})
                       ->Snapshot());
-  Result<MergedProvenanceIndex> merged = ProvenanceIndex::Merge(mixed);
+  Result<ProvenanceIndex> merged = ProvenanceIndex::Merge(mixed);
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(merged.code(), ErrorCode::kInvalidArgument);
 
   // A merged index of another specification is turned away by the service.
   std::vector<ProvenanceIndex> foreign(1, std::move(mixed[1]));
-  MergedProvenanceIndex foreign_merged =
-      ProvenanceIndex::Merge(foreign).value();
+  ProvenanceIndex foreign_merged = ProvenanceIndex::Merge(foreign).value();
   std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {0, 1}}};
   EXPECT_EQ(paper
                 ->QueryAcrossRuns(paper->default_view(), foreign_merged,
@@ -330,7 +328,7 @@ TEST(MergeErrors, OutOfRangeAddressesRejected) {
               ErrorCode::kInvalidArgument);
   }
   std::vector<std::pair<int, int>> bad_flat = {
-      {0, runs.merged.total_items()}};
+      {0, runs.merged.num_items()}};
   EXPECT_EQ(service->DependsMany(view, runs.merged, bad_flat).code(),
             ErrorCode::kInvalidArgument);
 }
@@ -341,10 +339,10 @@ TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
 
   // Merging nothing yields an empty artifact, not an error.
   std::vector<ProvenanceIndex> none;
-  Result<MergedProvenanceIndex> empty = ProvenanceIndex::Merge(none);
+  Result<ProvenanceIndex> empty = ProvenanceIndex::Merge(none);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_EQ(empty->num_runs(), 0);
-  EXPECT_EQ(empty->total_items(), 0);
+  EXPECT_EQ(empty->num_items(), 0);
 
   // Empty query spans return empty answers on both empty and non-empty
   // merged indexes.
@@ -361,9 +359,15 @@ TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
   EXPECT_TRUE(
       service->DependsMany(view, runs.merged, no_flat).value().empty());
 
+  // A zero-run input merges as nothing: it pins no codec, so merging it
+  // with a run yields exactly that run.
+  std::vector<ProvenanceIndex> with_empty = {*empty, runs.snapshots[0]};
+  EXPECT_EQ(ProvenanceIndex::Merge(with_empty).value().Serialize(),
+            runs.snapshots[0].Serialize());
+
   // The empty artifact round-trips through serialization.
-  Result<MergedProvenanceIndex> restored =
-      MergedProvenanceIndex::Deserialize(empty->Serialize());
+  Result<ProvenanceIndex> restored =
+      ProvenanceIndex::Deserialize(empty->Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_runs(), 0);
 }
@@ -533,9 +537,9 @@ TEST(SnapshotDelta, EmptyDeltaMidSequenceReassemblesBitIdentically) {
   EXPECT_EQ(from_blobs->Serialize(), golden);
 }
 
-// ----- Streamed k-way merge (MergeStream / MergeRunsStreamed). -----
+// ----- Streamed k-way merge (CompactStream / MergeRunsStreamed). -----
 
-TEST(MergeStreamTest, BitIdenticalToMaterializedMerge) {
+TEST(CompactStreamTest, BitIdenticalToMaterializedMerge) {
   auto service = ProvenanceService::Create(MakePaperExample().spec).value();
   MergedRuns runs = MakeRuns(service, 4, 110, 23);
 
@@ -544,20 +548,19 @@ TEST(MergeStreamTest, BitIdenticalToMaterializedMerge) {
     blobs.push_back(snapshot.Serialize());
   }
 
-  MergeStream stream;
+  CompactStream stream;
   for (const std::string& blob : blobs) {
     ASSERT_TRUE(stream.Append(blob).ok());
   }
   EXPECT_EQ(stream.num_runs(), 4);
-  MergedProvenanceIndex streamed = std::move(stream).Finish().value();
+  ProvenanceIndex streamed = std::move(stream).Finish().value();
 
   // The streaming path and the materialized path are one artifact: byte
   // for byte equal blobs, equal addressing, equal answers.
   EXPECT_EQ(streamed.Serialize(), runs.merged.Serialize());
 
   std::vector<std::string_view> views(blobs.begin(), blobs.end());
-  MergedProvenanceIndex via_service =
-      service->MergeRunsStreamed(views).value();
+  ProvenanceIndex via_service = service->MergeRunsStreamed(views).value();
   EXPECT_EQ(via_service.Serialize(), runs.merged.Serialize());
 
   Rng rng(77);
@@ -573,7 +576,7 @@ TEST(MergeStreamTest, BitIdenticalToMaterializedMerge) {
             service->QueryAcrossRuns(view, runs.merged, queries).value());
 }
 
-TEST(MergeStreamTest, HoldsAtMostOneInputStoreAtATime) {
+TEST(CompactStreamTest, HoldsAtMostOneInputStoreAtATime) {
   // The memory-boundedness contract, asserted via the store-count probe:
   // the stream's peak live-store count is a small constant — the output
   // plus the one input being appended (plus bounded move transients) —
@@ -597,14 +600,14 @@ TEST(MergeStreamTest, HoldsAtMostOneInputStoreAtATime) {
   auto streamed_peak = [&](const std::vector<std::string>& blobs) {
     const int base = internal::StoreCountProbe::live();
     internal::StoreCountProbe::ResetPeak();
-    MergeStream stream;
+    CompactStream stream;
     for (const std::string& blob : blobs) {
       EXPECT_TRUE(stream.Append(blob).ok());
       // Between appends, only the stream's own output store is alive.
       EXPECT_EQ(internal::StoreCountProbe::live(), base + 1);
     }
-    MergedProvenanceIndex merged = std::move(stream).Finish().value();
-    EXPECT_GT(merged.total_items(), 0);
+    ProvenanceIndex merged = std::move(stream).Finish().value();
+    EXPECT_GT(merged.num_items(), 0);
     return internal::StoreCountProbe::peak() - base;
   };
 
@@ -625,14 +628,13 @@ TEST(MergeStreamTest, HoldsAtMostOneInputStoreAtATime) {
     for (const std::string& blob : blobs16) {
       materialized.push_back(ProvenanceIndex::Deserialize(blob).value());
     }
-    MergedProvenanceIndex merged =
-        ProvenanceIndex::Merge(materialized).value();
-    EXPECT_GT(merged.total_items(), 0);
+    ProvenanceIndex merged = ProvenanceIndex::Merge(materialized).value();
+    EXPECT_GT(merged.num_items(), 0);
     EXPECT_GE(internal::StoreCountProbe::peak() - base, 16);
   }
 }
 
-TEST(MergeStreamTest, ErrorTaxonomyNeverAborts) {
+TEST(CompactStreamTest, ErrorTaxonomyNeverAborts) {
   auto paper = ProvenanceService::Create(MakePaperExample().spec).value();
   auto bioaid = ProvenanceService::Create(MakeBioAid(2012).spec).value();
   std::string paper_blob =
@@ -649,7 +651,7 @@ TEST(MergeStreamTest, ErrorTaxonomyNeverAborts) {
           .Serialize();
 
   // Corrupt blob: kMalformedBlob, and the stream survives to accept more.
-  MergeStream stream;
+  CompactStream stream;
   std::string corrupt = paper_blob;
   corrupt[3] = 'X';
   Status bad_magic = stream.Append(corrupt);
@@ -661,13 +663,13 @@ TEST(MergeStreamTest, ErrorTaxonomyNeverAborts) {
   // Codec mismatch against the runs already appended: kInvalidArgument.
   EXPECT_EQ(stream.Append(bioaid_blob).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(stream.num_runs(), 1);
-  MergedProvenanceIndex merged = std::move(stream).Finish().value();
+  ProvenanceIndex merged = std::move(stream).Finish().value();
   EXPECT_EQ(merged.num_runs(), 1);
 
   // Service entry point: same taxonomy, with the failing blob named; a
   // consistent batch of *foreign* blobs is rejected against the service.
   std::vector<std::string_view> mixed = {paper_blob, bioaid_blob};
-  Result<MergedProvenanceIndex> rejected = paper->MergeRunsStreamed(mixed);
+  Result<ProvenanceIndex> rejected = paper->MergeRunsStreamed(mixed);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.code(), ErrorCode::kInvalidArgument);
   EXPECT_NE(rejected.status().message().find("blob 1"), std::string::npos);
@@ -682,15 +684,27 @@ TEST(MergeStreamTest, ErrorTaxonomyNeverAborts) {
 
   // Empty span: empty merged index, not an error (as Merge).
   std::vector<std::string_view> none;
-  Result<MergedProvenanceIndex> empty = paper->MergeRunsStreamed(none);
+  Result<ProvenanceIndex> empty = paper->MergeRunsStreamed(none);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_EQ(empty->num_runs(), 0);
 
-  // A merged (FVLMRG2) blob is not a single-run input: rejected cleanly.
+  // A merged (FVLMRG2) blob is an input like any other: its runs append
+  // in stored order, byte-identical to Merge over the flattened runs. A
+  // one-run merge is that run's FVLIDX3 blob, and an unknown magic is
+  // still kMalformedBlob.
   MergedRuns runs = MakeRuns(paper, 2, 50, 31);
-  MergeStream wrong_format;
-  EXPECT_EQ(wrong_format.Append(runs.merged.Serialize()).code(),
-            ErrorCode::kMalformedBlob);
+  CompactStream mixed_formats;
+  ASSERT_TRUE(mixed_formats.Append(runs.merged.Serialize()).ok());
+  ASSERT_TRUE(mixed_formats.Append(runs.snapshots[0].Serialize()).ok());
+  std::vector<ProvenanceIndex> flattened = {
+      runs.snapshots[0], runs.snapshots[1], runs.snapshots[0]};
+  EXPECT_EQ(std::move(mixed_formats).Finish().value().Serialize(),
+            ProvenanceIndex::Merge(flattened).value().Serialize());
+  std::vector<std::string_view> one = {paper_blob};
+  EXPECT_EQ(paper->MergeRunsStreamed(one).value().Serialize(), paper_blob);
+  const std::string unknown = "FVLXYZ9" + runs.merged.Serialize().substr(7);
+  CompactStream fresh;
+  EXPECT_EQ(fresh.Append(unknown).code(), ErrorCode::kMalformedBlob);
 }
 
 // The FVLMRG2 tail is the same compressed span stream as FVLIDX3, shifted
@@ -709,19 +723,18 @@ TEST(MergeSerialization, V2MergedTailCorruptionRejected) {
 
   std::string bad_version = blob;
   bad_version[version_at] = 7;
-  Result<MergedProvenanceIndex> rejected =
-      MergedProvenanceIndex::Deserialize(bad_version);
+  Result<ProvenanceIndex> rejected = ProvenanceIndex::Deserialize(bad_version);
   EXPECT_EQ(rejected.code(), ErrorCode::kMalformedBlob);
   EXPECT_EQ(rejected.status().message(), "unsupported tail-format version");
 
   std::string bad_vbyte = blob;
   bad_vbyte[first_span_byte] =
       static_cast<char>(bad_vbyte[first_span_byte] | 0x80);
-  EXPECT_EQ(MergedProvenanceIndex::Deserialize(bad_vbyte).code(),
+  EXPECT_EQ(ProvenanceIndex::Deserialize(bad_vbyte).code(),
             ErrorCode::kMalformedBlob);
 
   // Truncation inside the span stream (block headers cut mid-word).
-  EXPECT_EQ(MergedProvenanceIndex::Deserialize(
+  EXPECT_EQ(ProvenanceIndex::Deserialize(
                 blob.substr(0, first_span_byte + 3))
                 .code(),
             ErrorCode::kMalformedBlob);
@@ -741,11 +754,10 @@ TEST(MergeSerialization, V2MergedTailCorruptionRejected) {
   legacy.push_back('\0');      // offset width = BitWidthFor(1) = 0
   u64(&legacy, 0);             // offset words
   u64(&legacy, 0);             // arena words
-  Result<MergedProvenanceIndex> parsed =
-      MergedProvenanceIndex::Deserialize(legacy);
+  Result<ProvenanceIndex> parsed = ProvenanceIndex::Deserialize(legacy);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->num_runs(), 0);
-  EXPECT_EQ(parsed->total_items(), 0);
+  EXPECT_EQ(parsed->num_items(), 0);
 }
 
 TEST(MergeEdgeCases, ZeroItemRunsMergeCleanly) {
@@ -758,15 +770,15 @@ TEST(MergeEdgeCases, ZeroItemRunsMergeCleanly) {
   snapshots.push_back(
       ProvenanceIndexBuilder(service->production_graph()).Build());
   snapshots.push_back(session->Snapshot());
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   ASSERT_EQ(merged.num_runs(), 2);
   EXPECT_EQ(merged.num_items(0), 0);
   ASSERT_EQ(merged.num_items(1), session->num_items());
   for (int item = 0; item < merged.num_items(1); ++item) {
     ASSERT_EQ(merged.Label(1, item), snapshots[1].Label(item));
   }
-  Result<MergedProvenanceIndex> restored =
-      MergedProvenanceIndex::Deserialize(merged.Serialize());
+  Result<ProvenanceIndex> restored =
+      ProvenanceIndex::Deserialize(merged.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_items(0), 0);
   EXPECT_EQ(restored->num_items(1), merged.num_items(1));

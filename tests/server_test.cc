@@ -175,9 +175,8 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
   MergeInfo merged = client.MergeRuns(wire_index_ids).value();
   EXPECT_EQ(merged.num_runs, 2);
   std::vector<std::string_view> views(blobs.begin(), blobs.end());
-  MergedProvenanceIndex direct_merged =
-      rig.service->MergeRunsStreamed(views).value();
-  ASSERT_EQ(merged.total_items, direct_merged.total_items());
+  ProvenanceIndex direct_merged = rig.service->MergeRunsStreamed(views).value();
+  ASSERT_EQ(merged.total_items, direct_merged.num_items());
 
   Rng rng(7);
   std::vector<std::pair<RunItem, RunItem>> queries;
@@ -197,6 +196,75 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
         client.QueryAcrossRuns(view_id, merged.merged_id, mode, queries)
             .value();
     ASSERT_EQ(wire_answers, direct_answers)
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
+// One id space: snapshots and merges share the server's index registry, so
+// every query op accepts every id — flat-id batches, point queries and
+// sweeps on a merged id, and (run, item) queries on a snapshot id.
+TEST(ServerDifferential, EveryQueryOpAcceptsEveryIndexId) {
+  TestRig rig = TestRig::Make();
+  ProvenanceClient client =
+      ProvenanceClient::Connect(rig.server->port()).value();
+  uint64_t view_id = client.RegisterView(rig.view).value();
+  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+
+  std::vector<uint64_t> wire_index_ids;
+  std::vector<ProvenanceIndex> direct_indexes;
+  for (int seed : {31, 32}) {
+    std::vector<std::pair<int, int>> ops =
+        RecordOpSequence(*rig.service, /*target_items=*/180, seed);
+    uint64_t session_id = client.BeginRun().value();
+    auto direct_session = rig.service->BeginRun();
+    for (const auto& [instance, production] : ops) {
+      ASSERT_TRUE(client.Apply(session_id, instance, production).ok());
+      ASSERT_TRUE(direct_session->Apply(instance, production).ok());
+    }
+    wire_index_ids.push_back(client.Snapshot(session_id).value().index_id);
+    direct_indexes.push_back(direct_session->Snapshot());
+  }
+  MergeInfo merged = client.MergeRuns(wire_index_ids).value();
+  for (uint64_t id : wire_index_ids) EXPECT_NE(merged.merged_id, id);
+  ProvenanceIndex direct_merged =
+      ProvenanceIndex::Merge(direct_indexes).value();
+  ASSERT_EQ(merged.total_items, direct_merged.num_items());
+
+  std::vector<std::pair<int, int>> flat =
+      RandomQueries(direct_merged.num_items(), 300, 41);
+  const ProvenanceIndex& run0 = direct_indexes[0];
+  Rng rng(43);
+  std::vector<std::pair<RunItem, RunItem>> addressed;
+  for (int q = 0; q < 200; ++q) {
+    addressed.push_back({{0, rng.NextInt(0, run0.num_items() - 1)},
+                         {0, rng.NextInt(0, run0.num_items() - 1)}});
+  }
+  for (ViewLabelMode mode : kAllModes) {
+    std::vector<bool> direct_batch =
+        rig.service->DependsMany(direct_view, direct_merged, flat, mode)
+            .value();
+    ASSERT_EQ(
+        client.DependsMany(view_id, merged.merged_id, mode, flat).value(),
+        direct_batch)
+        << "mode " << static_cast<int>(mode);
+    for (int q = 0; q < 30; ++q) {
+      EXPECT_EQ(client
+                    .Depends(view_id, merged.merged_id, mode, flat[q].first,
+                             flat[q].second)
+                    .value(),
+                direct_batch[q])
+          << "q " << q;
+    }
+    ASSERT_EQ(client.VisibilitySweep(view_id, merged.merged_id, mode).value(),
+              rig.service->VisibilitySweep(direct_view, direct_merged, mode)
+                  .value())
+        << "mode " << static_cast<int>(mode);
+    ASSERT_EQ(client
+                  .QueryAcrossRuns(view_id, wire_index_ids[0], mode,
+                                   addressed)
+                  .value(),
+              rig.service->QueryAcrossRuns(direct_view, run0, addressed, mode)
+                  .value())
         << "mode " << static_cast<int>(mode);
   }
 }

@@ -486,7 +486,7 @@ TEST(ServiceThreads, ShardedBatchesMatchSerialAnswers) {
                 .target_items = 2500, .seed = 31 + static_cast<uint64_t>(r)})
             ->Snapshot());
   }
-  MergedProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
   ASSERT_GE(static_cast<int64_t>(snapshots[0].num_items()),
             2 * kParallelForGrain)
       << "snapshot too small to produce a second ParallelFor shard";
@@ -499,8 +499,8 @@ TEST(ServiceThreads, ShardedBatchesMatchSerialAnswers) {
   }
   std::vector<std::pair<int, int>> flat;
   for (int q = 0; q < 4000; ++q) {
-    flat.push_back({rng.NextInt(0, merged.total_items() - 1),
-                    rng.NextInt(0, merged.total_items() - 1)});
+    flat.push_back({rng.NextInt(0, merged.num_items() - 1),
+                    rng.NextInt(0, merged.num_items() - 1)});
   }
 
   std::vector<bool> serial_single =
