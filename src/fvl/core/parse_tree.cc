@@ -14,9 +14,27 @@ CompressedParseTree::CompressedParseTree(const Grammar* grammar,
 
 int CompressedParseTree::NewNode(ParseNode node) {
   node.id = num_nodes();
-  max_depth_ = std::max(max_depth_, static_cast<int>(node.path.size()));
-  nodes_.push_back(std::move(node));
-  return nodes_.back().id;
+  if (node.parent >= 0) {
+    node.depth = nodes_[node.parent].depth + 1;
+    ++nodes_[node.parent].num_children;
+  }
+  max_depth_ = std::max(max_depth_, node.depth);
+  nodes_.push_back(node);
+  return node.id;
+}
+
+std::vector<EdgeLabel> CompressedParseTree::Path(int id) const {
+  std::vector<EdgeLabel> path;
+  PathInto(id, &path);
+  return path;
+}
+
+void CompressedParseTree::PathInto(int id,
+                                   std::vector<EdgeLabel>* path) const {
+  path->resize(nodes_[id].depth);
+  for (int n = id, d = nodes_[id].depth; d > 0; n = nodes_[n].parent) {
+    (*path)[--d] = nodes_[n].edge;
+  }
 }
 
 void CompressedParseTree::OnStart(const Run& run) {
@@ -24,6 +42,9 @@ void CompressedParseTree::OnStart(const Run& run) {
   node_of_instance_.assign(1, -1);
   ModuleId start_module = run.grammar().start();
 
+  ParseNode root_module;
+  root_module.kind = ParseNode::Kind::kModule;
+  root_module.instance = run.start_instance();
   if (pg_->IsRecursive(start_module)) {
     // The start module lies on a cycle: the root is a recursive node and S:1
     // is its first child.
@@ -31,24 +52,10 @@ void CompressedParseTree::OnStart(const Run& run) {
     rec.kind = ParseNode::Kind::kRecursive;
     rec.cycle = pg_->CycleOf(start_module);
     rec.start = pg_->CycleStartIndex(start_module);
-    int rec_id = NewNode(std::move(rec));
-
-    ParseNode root_module;
-    root_module.kind = ParseNode::Kind::kModule;
-    root_module.instance = run.start_instance();
-    root_module.parent = rec_id;
-    root_module.path = {
-        EdgeLabel::Rec(nodes_[rec_id].cycle, nodes_[rec_id].start, 1)};
-    int id = NewNode(std::move(root_module));
-    nodes_[rec_id].num_children = 1;
-    node_of_instance_[run.start_instance()] = id;
-  } else {
-    ParseNode root_module;
-    root_module.kind = ParseNode::Kind::kModule;
-    root_module.instance = run.start_instance();
-    int id = NewNode(std::move(root_module));
-    node_of_instance_[run.start_instance()] = id;
+    root_module.parent = NewNode(rec);
+    root_module.edge = EdgeLabel::Rec(rec.cycle, rec.start, 1);
   }
+  node_of_instance_[run.start_instance()] = NewNode(root_module);
 }
 
 void CompressedParseTree::OnApply(const Run& run, const DerivationStep& step) {
@@ -64,64 +71,38 @@ void CompressedParseTree::OnApply(const Run& run, const DerivationStep& step) {
     int child_instance = step.first_child + pos;
     ModuleId member = p.rhs.members[pos];
 
+    ParseNode child;
+    child.kind = ParseNode::Kind::kModule;
+    child.instance = child_instance;
+
     if (!pg_->IsRecursive(member)) {
       // Case 1: plain member under the module node.
-      ParseNode child;
-      child.kind = ParseNode::Kind::kModule;
-      child.instance = child_instance;
       child.parent = u;
-      child.path = nodes_[u].path;
-      child.path.push_back(EdgeLabel::Prod(step.production, pos));
-      int id = NewNode(std::move(child));
-      ++nodes_[u].num_children;
-      node_of_instance_[child_instance] = id;
-      continue;
-    }
-
-    if (pg_->IsRecursive(lhs) && pg_->CycleOf(member) == pg_->CycleOf(lhs)) {
+      child.edge = EdgeLabel::Prod(step.production, pos);
+    } else if (pg_->IsRecursive(lhs) &&
+               pg_->CycleOf(member) == pg_->CycleOf(lhs)) {
       // Case 2a: the member continues the lhs's own recursion — it becomes
       // the next sibling of u under u's recursive parent node.
       int rec = nodes_[u].parent;
       FVL_CHECK(rec >= 0 && nodes_[rec].kind == ParseNode::Kind::kRecursive);
-      const EdgeLabel& u_edge = nodes_[u].path.back();
+      const EdgeLabel& u_edge = nodes_[u].edge;
       FVL_CHECK(u_edge.kind == EdgeLabel::Kind::kRecursion);
-
-      ParseNode sibling;
-      sibling.kind = ParseNode::Kind::kModule;
-      sibling.instance = child_instance;
-      sibling.parent = rec;
-      sibling.path = nodes_[rec].path;
-      sibling.path.push_back(EdgeLabel::Rec(u_edge.cycle, u_edge.start,
-                                            u_edge.iteration + 1));
-      int id = NewNode(std::move(sibling));
-      ++nodes_[rec].num_children;
-      node_of_instance_[child_instance] = id;
-      continue;
+      child.parent = rec;
+      child.edge =
+          EdgeLabel::Rec(u_edge.cycle, u_edge.start, u_edge.iteration + 1);
+    } else {
+      // Case 2b: the member starts a new recursion — create a recursive node
+      // under u and put the member as its first child.
+      ParseNode rec;
+      rec.kind = ParseNode::Kind::kRecursive;
+      rec.cycle = pg_->CycleOf(member);
+      rec.start = pg_->CycleStartIndex(member);
+      rec.parent = u;
+      rec.edge = EdgeLabel::Prod(step.production, pos);
+      child.parent = NewNode(rec);
+      child.edge = EdgeLabel::Rec(rec.cycle, rec.start, 1);
     }
-
-    // Case 2b: the member starts a new recursion — create a recursive node
-    // under u and put the member as its first child.
-    ParseNode rec;
-    rec.kind = ParseNode::Kind::kRecursive;
-    rec.cycle = pg_->CycleOf(member);
-    rec.start = pg_->CycleStartIndex(member);
-    rec.parent = u;
-    rec.path = nodes_[u].path;
-    rec.path.push_back(EdgeLabel::Prod(step.production, pos));
-    int cycle = rec.cycle;
-    int start = rec.start;
-    int rec_id = NewNode(std::move(rec));
-    ++nodes_[u].num_children;
-
-    ParseNode child;
-    child.kind = ParseNode::Kind::kModule;
-    child.instance = child_instance;
-    child.parent = rec_id;
-    child.path = nodes_[rec_id].path;
-    child.path.push_back(EdgeLabel::Rec(cycle, start, 1));
-    int id = NewNode(std::move(child));
-    nodes_[rec_id].num_children = 1;
-    node_of_instance_[child_instance] = id;
+    node_of_instance_[child_instance] = NewNode(child);
   }
 }
 

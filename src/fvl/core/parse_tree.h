@@ -7,9 +7,11 @@
 // bounded by 2·|Δ| (Lemma 4).
 //
 // Construction is strictly online: CompressedParseTree observes Run events
-// (OnStart / OnApply) and assigns every node its edge-label path when the
-// node is created; paths are never revisited, which is what makes the data
-// labels of RunLabeler dynamic in the sense of Def. 10.
+// (OnStart / OnApply) and fixes every node's edge-label path when the node
+// is created; paths are never revisited, which is what makes the data labels
+// of RunLabeler dynamic in the sense of Def. 10. A node stores only the
+// label of the edge from its parent: its path is its parent's path plus that
+// edge, rebuilt on demand by walking at most 2·|Δ| parents.
 //
 // Only strictly linear-recursive grammars are supported (Thm. 8's premise).
 
@@ -33,9 +35,10 @@ struct ParseNode {
   int start = -1;               // recursive nodes: the paper's t
   int parent = -1;              // -1 for the root
   int num_children = 0;
-  // Edge labels from the root to this node (empty for the root). The last
-  // entry is the label of the edge from `parent`.
-  std::vector<EdgeLabel> path;
+  int depth = 0;                // edges from the root
+  // Label of the edge from `parent` (unset for the root): the node's path is
+  // its parent's path plus this edge (CompressedParseTree::Path).
+  EdgeLabel edge;
 };
 
 class CompressedParseTree {
@@ -51,11 +54,17 @@ class CompressedParseTree {
   const ParseNode& node(int id) const { return nodes_[id]; }
   int root() const { return 0; }
   int NodeOfInstance(int instance) const { return node_of_instance_[instance]; }
+  // Edge labels from the root to node `id` (empty for the root); its size is
+  // node(id).depth. PathInto overwrites *path, reusing its capacity.
+  std::vector<EdgeLabel> Path(int id) const;
+  void PathInto(int id, std::vector<EdgeLabel>* path) const;
   // Maximum node depth seen so far (number of edges from the root); bounded
   // by 2|Δ| per Lemma 4.
   int max_depth() const { return max_depth_; }
 
  private:
+  // Appends `node` as a child of node.parent (reached over node.edge) and
+  // returns its id.
   int NewNode(ParseNode node);
 
   const Grammar* grammar_;

@@ -20,15 +20,15 @@ void RunLabeler::OnStart(const Run& run) {
   std::vector<DataLabel> boundary(
       run.InputItems(run.start_instance()).size() +
       run.OutputItems(run.start_instance()).size());
-  const ParseNode& start_node =
-      tree_.node(tree_.NodeOfInstance(run.start_instance()));
+  const std::vector<EdgeLabel> start_path =
+      tree_.Path(tree_.NodeOfInstance(run.start_instance()));
   for (int item_id : run.InputItems(run.start_instance())) {
     boundary[item_id].consumer =
-        PortLabel{start_node.path, run.item(item_id).consumer_port};
+        PortLabel{start_path, run.item(item_id).consumer_port};
   }
   for (int item_id : run.OutputItems(run.start_instance())) {
     boundary[item_id].producer =
-        PortLabel{start_node.path, run.item(item_id).producer_port};
+        PortLabel{start_path, run.item(item_id).producer_port};
   }
   for (const DataLabel& label : boundary) store_.Append(label);
 }
@@ -37,17 +37,19 @@ void RunLabeler::OnApply(const Run& run, const DerivationStep& step) {
   tree_.OnApply(run, step);
   FVL_CHECK(store_.total_items() == step.first_item);
   // Label exactly the step's own items (not up to run.num_items(), which is
-  // already the final count when replaying a completed run).
+  // already the final count when replaying a completed run). One label is
+  // reused across the step so its paths keep their capacity.
+  DataLabel label;
+  label.producer.emplace();
+  label.consumer.emplace();
   for (int e = 0; e < step.num_items; ++e) {
-    int item_id = step.first_item + e;
-    const DataItem& item = run.item(item_id);
-    const ParseNode& producer_node =
-        tree_.node(tree_.NodeOfInstance(item.producer_instance));
-    const ParseNode& consumer_node =
-        tree_.node(tree_.NodeOfInstance(item.consumer_instance));
-    DataLabel label;
-    label.producer = PortLabel{producer_node.path, item.producer_port};
-    label.consumer = PortLabel{consumer_node.path, item.consumer_port};
+    const DataItem& item = run.item(step.first_item + e);
+    tree_.PathInto(tree_.NodeOfInstance(item.producer_instance),
+                   &label.producer->path);
+    label.producer->port = item.producer_port;
+    tree_.PathInto(tree_.NodeOfInstance(item.consumer_instance),
+                   &label.consumer->path);
+    label.consumer->port = item.consumer_port;
     store_.Append(label);
   }
 }

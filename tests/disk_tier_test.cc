@@ -38,6 +38,7 @@
 #include "fvl/util/file.h"
 #include "fvl/util/random.h"
 #include "fvl/workload/paper_example.h"
+#include "test_util.h"
 
 namespace fvl {
 namespace {
@@ -71,26 +72,29 @@ std::string TempPath(const std::string& name) {
 }
 
 void WriteFileOrDie(const std::string& path, std::string_view blob) {
-  FileHandle out = FileHandle::CreateTruncate(path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(FileHandle out, FileHandle::CreateTruncate(path));
   ASSERT_TRUE(out.WriteAll(blob).ok());
   ASSERT_TRUE(out.Close().ok());
 }
 
-std::string ReadFileOrDie(const std::string& path) {
-  return FileHandle::OpenRead(path).value().ReadAll().value();
+Result<std::string> ReadFileBytes(const std::string& path) {
+  Result<FileHandle> file = FileHandle::OpenRead(path);
+  if (!file.ok()) return file.status();
+  return file->ReadAll();
 }
 
 // Paper-example service with registered views; every suite below shares
 // this shape. Serving caches stay off so the mapped and heap paths cannot
 // hide behind a shared memo.
 struct Fixture {
-  PaperExample example;
+  PaperExample example = MakePaperExample();
   std::shared_ptr<ProvenanceService> service;
   ViewHandle grey;
 
-  Fixture() : example(MakePaperExample()) {
-    service = ProvenanceService::Create(example.spec).value();
-    grey = service->RegisterView(example.grey_view).value();
+  // Wrap the call in ASSERT_NO_FATAL_FAILURE.
+  void Init() {
+    FVL_ASSERT_OK_AND_ASSIGN(service, ProvenanceService::Create(example.spec));
+    FVL_ASSERT_OK_AND_ASSIGN(grey, service->RegisterView(example.grey_view));
     service->set_serving_cache_enabled(false);
   }
 
@@ -101,6 +105,7 @@ struct Fixture {
 
 TEST(DiskTierDifferential, SingleRunMappedMatchesHeapAndOracle) {
   Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(fx.Init());
   auto session = fx.service->GenerateLabeledRun(
       RunGeneratorOptions{.target_items = 220, .seed = 41});
   ProvenanceIndex heap = session->Snapshot();
@@ -108,7 +113,7 @@ TEST(DiskTierDifferential, SingleRunMappedMatchesHeapAndOracle) {
   const std::string path = TempPath("single.fvlidx");
   WriteFileOrDie(path, blob);
 
-  ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex mapped, ProvenanceIndex::Map(path));
   // The mapping, not a copy, backs the long-label arena (unless this run
   // happened to produce none).
   EXPECT_TRUE(mapped.store().arena_borrowed() ||
@@ -123,14 +128,16 @@ TEST(DiskTierDifferential, SingleRunMappedMatchesHeapAndOracle) {
                        rng.NextInt(0, heap.num_items() - 1)});
   }
   for (ViewHandle view : fx.views()) {
-    const CompiledView& compiled =
-        *fx.service->CompiledRegularView(view).value();
-    ProvenanceOracle oracle(session->run(), compiled);
+    FVL_ASSERT_OK_AND_ASSIGN(const CompiledView* compiled,
+                             fx.service->CompiledRegularView(view));
+    ProvenanceOracle oracle(session->run(), *compiled);
     for (ViewLabelMode mode : kAllModes) {
-      std::vector<bool> from_heap =
-          fx.service->DependsMany(view, heap, queries, mode).value();
-      std::vector<bool> from_map =
-          fx.service->DependsMany(view, mapped, queries, mode).value();
+      FVL_ASSERT_OK_AND_ASSIGN(
+          std::vector<bool> from_heap,
+          fx.service->DependsMany(view, heap, queries, mode));
+      FVL_ASSERT_OK_AND_ASSIGN(
+          std::vector<bool> from_map,
+          fx.service->DependsMany(view, mapped, queries, mode));
       ASSERT_EQ(from_heap, from_map)
           << "view " << view.id() << " mode " << static_cast<int>(mode);
       for (size_t q = 0; q < queries.size(); ++q) {
@@ -146,6 +153,7 @@ TEST(DiskTierDifferential, SingleRunMappedMatchesHeapAndOracle) {
 
 TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
   Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(fx.Init());
   std::vector<std::shared_ptr<ProvenanceSession>> sessions;
   std::vector<ProvenanceIndex> snapshots;
   for (int r = 0; r < 3; ++r) {
@@ -154,20 +162,21 @@ TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
                             .seed = 61 + static_cast<uint64_t>(r)}));
     snapshots.push_back(sessions.back()->Snapshot());
   }
-  ProvenanceIndex heap = ProvenanceIndex::Merge(snapshots).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex heap,
+                           ProvenanceIndex::Merge(snapshots));
   const std::string blob = heap.Serialize();
   const std::string path = TempPath("merged.fvlmrg");
   WriteFileOrDie(path, blob);
 
-  ProvenanceIndex mapped = ProvenanceIndex::Map(path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex mapped, ProvenanceIndex::Map(path));
   EXPECT_TRUE(mapped.store().arena_borrowed() ||
               mapped.store().arena_bits() == 0);
   EXPECT_EQ(mapped.Serialize(), blob);
   ASSERT_EQ(mapped.num_runs(), 3);
 
   for (ViewHandle view : fx.views()) {
-    const CompiledView& compiled =
-        *fx.service->CompiledRegularView(view).value();
+    FVL_ASSERT_OK_AND_ASSIGN(const CompiledView* compiled,
+                             fx.service->CompiledRegularView(view));
     for (size_t r = 0; r < snapshots.size(); ++r) {
       Rng rng(100 + r);
       std::vector<std::pair<RunItem, RunItem>> addressed;
@@ -179,12 +188,14 @@ TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
         addressed.push_back({{static_cast<int>(r), d1},
                              {static_cast<int>(r), d2}});
       }
-      ProvenanceOracle oracle(sessions[r]->run(), compiled);
+      ProvenanceOracle oracle(sessions[r]->run(), *compiled);
       for (ViewLabelMode mode : kAllModes) {
-        std::vector<bool> from_heap =
-            fx.service->QueryAcrossRuns(view, heap, addressed, mode).value();
-        std::vector<bool> from_map =
-            fx.service->QueryAcrossRuns(view, mapped, addressed, mode).value();
+        FVL_ASSERT_OK_AND_ASSIGN(
+            std::vector<bool> from_heap,
+            fx.service->QueryAcrossRuns(view, heap, addressed, mode));
+        FVL_ASSERT_OK_AND_ASSIGN(
+            std::vector<bool> from_map,
+            fx.service->QueryAcrossRuns(view, mapped, addressed, mode));
         ASSERT_EQ(from_heap, from_map)
             << "run " << r << " view " << view.id() << " mode "
             << static_cast<int>(mode);
@@ -203,6 +214,7 @@ TEST(DiskTierDifferential, MergedMappedMatchesHeapAndOracle) {
 
 TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
   Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(fx.Init());
   std::vector<ProvenanceIndex> snapshots;
   std::vector<std::string> l0_paths;
   for (int r = 0; r < 4; ++r) {
@@ -213,45 +225,49 @@ TEST(DiskTierCompaction, OutputBitIdenticalToFromScratchMerge) {
     l0_paths.push_back(TempPath("l0_" + std::to_string(r) + ".fvlidx"));
     WriteFileOrDie(l0_paths[r], snapshots[r].Serialize());
   }
-  const std::string expected =
-      ProvenanceIndex::Merge(snapshots).value().Serialize();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex merged_snapshots,
+                           ProvenanceIndex::Merge(snapshots));
+  const std::string expected = merged_snapshots.Serialize();
 
   // L0 -> L1: compacting the run files equals merging the snapshots.
   const std::string l1_path = TempPath("l1.fvlmrg");
-  ProvenanceIndex compacted =
-      fx.service->CompactFiles(l0_paths, l1_path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex compacted,
+                           fx.service->CompactFiles(l0_paths, l1_path));
   EXPECT_EQ(compacted.num_runs(), 4);
-  EXPECT_EQ(ReadFileOrDie(l1_path), expected);
+  FVL_ASSERT_OK_AND_ASSIGN(std::string l1_bytes, ReadFileBytes(l1_path));
+  EXPECT_EQ(l1_bytes, expected);
   EXPECT_EQ(compacted.Serialize(), expected);
 
   // L1 -> L2: already-merged inputs re-merge without flattening, to the
   // same bytes again. Split the runs 1|3 to keep the order 0..3.
   const std::string half_a = TempPath("half_a.fvlmrg");
   const std::string half_b = TempPath("half_b.fvlmrg");
-  WriteFileOrDie(half_a, ProvenanceIndex::Merge({&snapshots[0], 1})
-                             .value()
-                             .Serialize());
-  WriteFileOrDie(half_b, ProvenanceIndex::Merge({&snapshots[1], 3})
-                             .value()
-                             .Serialize());
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex first_run,
+                           ProvenanceIndex::Merge({&snapshots[0], 1}));
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex last_runs,
+                           ProvenanceIndex::Merge({&snapshots[1], 3}));
+  WriteFileOrDie(half_a, first_run.Serialize());
+  WriteFileOrDie(half_b, last_runs.Serialize());
   const std::string l2_path = TempPath("l2.fvlmrg");
   std::vector<std::string> level1 = {half_a, half_b};
-  ProvenanceIndex recompacted =
-      fx.service->CompactFiles(level1, l2_path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex recompacted,
+                           fx.service->CompactFiles(level1, l2_path));
   EXPECT_EQ(recompacted.num_runs(), 4);
-  EXPECT_EQ(ReadFileOrDie(l2_path), expected);
+  FVL_ASSERT_OK_AND_ASSIGN(std::string l2_bytes, ReadFileBytes(l2_path));
+  EXPECT_EQ(l2_bytes, expected);
 
   // Mixed levels compact too: a merged archive followed by a single-run
   // one folds into the same grouped shape.
   std::vector<std::string> mixed = {half_b, l0_paths[0]};
   const std::string mixed_path = TempPath("mixed.fvlmrg");
-  ProvenanceIndex from_mixed =
-      fx.service->CompactFiles(mixed, mixed_path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex from_mixed,
+                           fx.service->CompactFiles(mixed, mixed_path));
   EXPECT_EQ(from_mixed.num_runs(), 4);
 }
 
 TEST(DiskTierCompaction, PeakLiveStoresIndependentOfInputCount) {
   Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(fx.Init());
   auto peak_for = [&](int num_inputs) {
     std::vector<std::string> paths;
     for (int r = 0; r < num_inputs; ++r) {
@@ -263,9 +279,13 @@ TEST(DiskTierCompaction, PeakLiveStoresIndependentOfInputCount) {
     }
     const int base = internal::StoreCountProbe::live();
     internal::StoreCountProbe::ResetPeak();
-    ProvenanceIndex compacted =
-        fx.service->CompactFiles(paths, TempPath("peak_out.fvlmrg")).value();
-    EXPECT_EQ(compacted.num_runs(), num_inputs);
+    Result<ProvenanceIndex> compacted =
+        fx.service->CompactFiles(paths, TempPath("peak_out.fvlmrg"));
+    if (!compacted.ok()) {
+      ADD_FAILURE() << compacted.status().ToString();
+      return -1;
+    }
+    EXPECT_EQ(compacted->num_runs(), num_inputs);
     return internal::StoreCountProbe::peak() - base;
   };
 
@@ -282,6 +302,7 @@ TEST(DiskTierCompaction, PeakLiveStoresIndependentOfInputCount) {
 
 TEST(DiskTierRecovery, TruncatedFinalDeltaLeavesSurvivingPrefixServable) {
   Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(fx.Init());
   // Replay a reference run through a fresh session, checkpointing a delta
   // file every ~60 items; after each flush record the full snapshot a
   // recovery at that watermark must reproduce.
@@ -305,7 +326,8 @@ TEST(DiskTierRecovery, TruncatedFinalDeltaLeavesSurvivingPrefixServable) {
   flush();
   ASSERT_GE(delta_paths.size(), 3u) << "fixture too small to tear";
 
-  const std::string intact_tail = ReadFileOrDie(delta_paths.back());
+  FVL_ASSERT_OK_AND_ASSIGN(const std::string intact_tail,
+                           ReadFileBytes(delta_paths.back()));
   for (size_t keep : {intact_tail.size() - 1, intact_tail.size() / 2,
                       size_t{7}, size_t{0}}) {
     // The crash: the final delta write stops after `keep` bytes.
@@ -316,8 +338,8 @@ TEST(DiskTierRecovery, TruncatedFinalDeltaLeavesSurvivingPrefixServable) {
     // the mmap layer when served via Map).
     std::vector<ProvenanceIndex> survivors;
     for (const std::string& path : delta_paths) {
-      Result<ProvenanceIndex> parsed =
-          ProvenanceIndex::Deserialize(ReadFileOrDie(path));
+      FVL_ASSERT_OK_AND_ASSIGN(std::string bytes, ReadFileBytes(path));
+      Result<ProvenanceIndex> parsed = ProvenanceIndex::Deserialize(bytes);
       if (!parsed.ok()) {
         EXPECT_EQ(parsed.status().code(), ErrorCode::kMalformedBlob)
             << "keep=" << keep << ": " << parsed.status().ToString();
@@ -334,7 +356,8 @@ TEST(DiskTierRecovery, TruncatedFinalDeltaLeavesSurvivingPrefixServable) {
 
     // The surviving prefix reassembles into exactly the snapshot at the
     // last intact watermark — nothing before the torn checkpoint is lost.
-    ProvenanceIndex recovered = ProvenanceIndex::FromDeltas(survivors).value();
+    FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex recovered,
+                             ProvenanceIndex::FromDeltas(survivors));
     EXPECT_EQ(recovered.Serialize(),
               expected_at_watermark[survivors.size() - 1]);
   }
@@ -344,6 +367,7 @@ TEST(DiskTierRecovery, TruncatedFinalDeltaLeavesSurvivingPrefixServable) {
 
 TEST(DiskTierErrors, FileAndContentFailuresAreTyped) {
   Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(fx.Init());
   // Missing file: the open fails, typed kIo.
   Result<ProvenanceIndex> missing =
       fx.service->OpenIndexFile(TempPath("does_not_exist.fvlidx"));
@@ -365,8 +389,8 @@ TEST(DiskTierErrors, FileAndContentFailuresAreTyped) {
   ProvenanceIndex snapshot = session->Snapshot();
   const std::string single_path = TempPath("format_single.fvlidx");
   WriteFileOrDie(single_path, snapshot.Serialize());
-  ProvenanceIndex single_as_merged =
-      fx.service->OpenMergedIndexFile(single_path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex single_as_merged,
+                           fx.service->OpenMergedIndexFile(single_path));
   EXPECT_EQ(single_as_merged.num_runs(), 1);
   EXPECT_EQ(single_as_merged.Serialize(), snapshot.Serialize());
   std::vector<ProvenanceIndex> runs = {
@@ -374,10 +398,12 @@ TEST(DiskTierErrors, FileAndContentFailuresAreTyped) {
                     ->GenerateLabeledRun(
                         RunGeneratorOptions{.target_items = 60, .seed = 6})
                     ->Snapshot()};
-  ProvenanceIndex merged = ProvenanceIndex::Merge(runs).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex merged,
+                           ProvenanceIndex::Merge(runs));
   const std::string merged_path = TempPath("format_merged.fvlmrg");
   WriteFileOrDie(merged_path, merged.Serialize());
-  ProvenanceIndex mapped = fx.service->OpenIndexFile(merged_path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex mapped,
+                           fx.service->OpenIndexFile(merged_path));
   ASSERT_EQ(mapped.num_runs(), 2);
   Rng rng(11);
   std::vector<std::pair<RunItem, RunItem>> queries;
@@ -388,9 +414,13 @@ TEST(DiskTierErrors, FileAndContentFailuresAreTyped) {
     queries.push_back({a, b});
   }
   for (ViewLabelMode mode : kAllModes) {
-    EXPECT_EQ(
-        fx.service->QueryAcrossRuns(fx.grey, mapped, queries, mode).value(),
-        fx.service->QueryAcrossRuns(fx.grey, merged, queries, mode).value());
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> from_map,
+        fx.service->QueryAcrossRuns(fx.grey, mapped, queries, mode));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> from_heap,
+        fx.service->QueryAcrossRuns(fx.grey, merged, queries, mode));
+    EXPECT_EQ(from_map, from_heap);
   }
 
   // Compaction attributes a bad input by position.
@@ -418,7 +448,7 @@ std::string GoldenRunBlob(Fixture& fx) {
       .Serialize();
 }
 
-std::string GoldenMergedBlob(Fixture& fx) {
+Result<std::string> GoldenMergedBlob(Fixture& fx) {
   std::vector<ProvenanceIndex> snapshots;
   for (int r = 0; r < 2; ++r) {
     snapshots.push_back(
@@ -428,17 +458,21 @@ std::string GoldenMergedBlob(Fixture& fx) {
                 .seed = 15 + static_cast<uint64_t>(r)})
             ->Snapshot());
   }
-  return ProvenanceIndex::Merge(snapshots).value().Serialize();
+  Result<ProvenanceIndex> merged = ProvenanceIndex::Merge(snapshots);
+  if (!merged.ok()) return merged.status();
+  return merged->Serialize();
 }
 
 TEST(DiskTierGolden, CommittedArchivesServeAndMatch) {
   Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(fx.Init());
   const std::string run_path =
       std::string(FVL_TESTDATA_DIR) + "/golden_archive.fvlidx";
   const std::string merged_path =
       std::string(FVL_TESTDATA_DIR) + "/golden_archive.fvlmrg";
   const std::string run_blob = GoldenRunBlob(fx);
-  const std::string merged_blob = GoldenMergedBlob(fx);
+  FVL_ASSERT_OK_AND_ASSIGN(const std::string merged_blob,
+                           GoldenMergedBlob(fx));
 
   if (std::getenv("FVL_REGEN_GOLDEN") != nullptr) {
     WriteFileOrDie(run_path, run_blob);
@@ -448,15 +482,20 @@ TEST(DiskTierGolden, CommittedArchivesServeAndMatch) {
 
   // Byte-identity against today's serializer: a format change that forgot
   // to bump the magic (and regenerate these files) fails loudly here.
-  EXPECT_EQ(ReadFileOrDie(run_path), run_blob)
+  FVL_ASSERT_OK_AND_ASSIGN(std::string run_file, ReadFileBytes(run_path));
+  EXPECT_EQ(run_file, run_blob)
       << "golden single-run archive drifted from the current serializer";
-  EXPECT_EQ(ReadFileOrDie(merged_path), merged_blob)
+  FVL_ASSERT_OK_AND_ASSIGN(std::string merged_file,
+                           ReadFileBytes(merged_path));
+  EXPECT_EQ(merged_file, merged_blob)
       << "golden merged archive drifted from the current serializer";
 
   // And the committed files actually serve through the mmap path.
-  ProvenanceIndex run = fx.service->OpenIndexFile(run_path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex run,
+                           fx.service->OpenIndexFile(run_path));
   EXPECT_GT(run.num_items(), 0);
-  ProvenanceIndex merged = fx.service->OpenIndexFile(merged_path).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex merged,
+                           fx.service->OpenIndexFile(merged_path));
   EXPECT_EQ(merged.num_runs(), 2);
   Rng rng(3);
   std::vector<std::pair<int, int>> queries;
@@ -464,11 +503,16 @@ TEST(DiskTierGolden, CommittedArchivesServeAndMatch) {
     queries.push_back({rng.NextInt(0, run.num_items() - 1),
                        rng.NextInt(0, run.num_items() - 1)});
   }
-  ProvenanceIndex heap =
-      ProvenanceIndex::Deserialize(ReadFileOrDie(run_path)).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex heap,
+                           ProvenanceIndex::Deserialize(run_file));
   for (ViewLabelMode mode : kAllModes) {
-    EXPECT_EQ(fx.service->DependsMany(fx.grey, run, queries, mode).value(),
-              fx.service->DependsMany(fx.grey, heap, queries, mode).value());
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> from_map,
+        fx.service->DependsMany(fx.grey, run, queries, mode));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> from_heap,
+        fx.service->DependsMany(fx.grey, heap, queries, mode));
+    EXPECT_EQ(from_map, from_heap);
   }
 }
 

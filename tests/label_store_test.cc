@@ -15,6 +15,7 @@
 #include "fvl/service/provenance_service.h"
 #include "fvl/util/bitstream.h"
 #include "fvl/util/random.h"
+#include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
 #include "test_util.h"
 
@@ -601,6 +602,37 @@ TEST_F(LabelStoreTest, LegacyV1GoldenBlobStillDeserializes) {
   // Round-tripping through the legacy parser loses nothing: re-serializing
   // yields the same modern blob a fresh snapshot produces.
   EXPECT_EQ(restored->Serialize(), session->Snapshot().Serialize());
+}
+
+// FNV-1a, 64-bit: a stable digest for blobs too large to pin as hex.
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The 8-item golden above is one short paper-example run: it never continues
+// a recursion (no sibling appended under a recursive node), so it cannot see
+// a wrong iteration count. This pins the labels of a seeded ~32K-item BioAID
+// session, with deep recursion, parse-tree depth > 1 and thousands of
+// rewired ports, through the digest of its serialized snapshot. Like
+// kGoldenHex, the constants are a contract: a change to how live runs or
+// parse trees are stored must leave them untouched.
+TEST(LabelStoreGolden, BioAidSessionSnapshotDigestIsStable) {
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakeBioAid().spec));
+  auto session = service->GenerateLabeledRun(
+      RunGeneratorOptions{.target_items = 32768, .seed = 16});
+  ASSERT_GT(session->labeler().tree().max_depth(), 1);
+  ASSERT_GT(session->run().num_steps(), 1000);
+
+  const std::string blob = session->Snapshot().Serialize();
+  EXPECT_EQ(session->num_items(), 32794);
+  EXPECT_EQ(blob.size(), 318446u);
+  EXPECT_EQ(Fnv1a64(blob), 6459226457518213720ull);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "fvl/workload/paper_example.h"
 #include "fvl/workload/synthetic.h"
 #include "fvl/workload/view_generator.h"
+#include "test_util.h"
 
 namespace fvl {
 namespace {
@@ -37,18 +38,18 @@ struct MergedRuns {
   ProvenanceIndex merged;
 };
 
-MergedRuns MakeRuns(const std::shared_ptr<ProvenanceService>& service,
-                    int num_runs, int target_items, uint64_t seed) {
-  MergedRuns out;
+// Fills *out; wrap the call in ASSERT_NO_FATAL_FAILURE.
+void MakeRuns(const std::shared_ptr<ProvenanceService>& service, int num_runs,
+              int target_items, uint64_t seed, MergedRuns* out) {
   for (int r = 0; r < num_runs; ++r) {
     RunGeneratorOptions options;
     options.target_items = target_items + 17 * r;
     options.seed = seed + r;
-    out.sessions.push_back(service->GenerateLabeledRun(options));
-    out.snapshots.push_back(out.sessions.back()->Snapshot());
+    out->sessions.push_back(service->GenerateLabeledRun(options));
+    out->snapshots.push_back(out->sessions.back()->Snapshot());
   }
-  out.merged = ProvenanceIndex::Merge(out.snapshots).value();
-  return out;
+  FVL_ASSERT_OK_AND_ASSIGN(out->merged,
+                           ProvenanceIndex::Merge(out->snapshots));
 }
 
 // The differential core: per run, random same-run query pairs must get
@@ -58,7 +59,8 @@ MergedRuns MakeRuns(const std::shared_ptr<ProvenanceService>& service,
 void CheckDifferential(ProvenanceService& service, const MergedRuns& runs,
                        ViewHandle view, ViewLabelMode mode,
                        int queries_per_run, uint64_t seed) {
-  const CompiledView& compiled = *service.CompiledRegularView(view).value();
+  FVL_ASSERT_OK_AND_ASSIGN(const CompiledView* compiled,
+                           service.CompiledRegularView(view));
   for (size_t r = 0; r < runs.snapshots.size(); ++r) {
     const ProvenanceIndex& single = runs.snapshots[r];
     ASSERT_GT(single.num_items(), 0);
@@ -83,7 +85,7 @@ void CheckDifferential(ProvenanceService& service, const MergedRuns& runs,
         << "run " << r << " view " << view.id() << " mode "
         << static_cast<int>(mode);
 
-    ProvenanceOracle oracle(runs.sessions[r]->run(), compiled);
+    ProvenanceOracle oracle(runs.sessions[r]->run(), *compiled);
     for (size_t q = 0; q < local.size(); ++q) {
       auto [d1, d2] = local[q];
       if (!oracle.ItemVisible(d1) || !oracle.ItemVisible(d2)) continue;
@@ -98,10 +100,12 @@ void CheckDifferential(ProvenanceService& service, const MergedRuns& runs,
 
 TEST(MergeDifferential, PaperViewsAllModes) {
   PaperExample ex = MakePaperExample();
-  auto service = ProvenanceService::Create(ex.spec).value();
-  ViewHandle grey = service->RegisterView(ex.grey_view).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto service, ProvenanceService::Create(ex.spec));
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle grey,
+                           service->RegisterView(ex.grey_view));
 
-  MergedRuns runs = MakeRuns(service, 4, 120, 31);
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 4, 120, 31, &runs));
   ASSERT_EQ(runs.merged.num_runs(), 4);
   for (ViewHandle view : {service->default_view(), grey}) {
     for (ViewLabelMode mode : kAllModes) {
@@ -124,7 +128,8 @@ TEST(MergeDifferential, RandomizedSyntheticSpecs) {
     options.recursion_length = meta.NextInt(2, 3);
     options.seed = 100 + s;
     Workload workload = MakeSynthetic(options);
-    auto service = ProvenanceService::Create(workload.spec).value();
+    FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                             ProvenanceService::Create(workload.spec));
 
     ViewGeneratorOptions view_options;
     view_options.num_expandable = meta.NextInt(1, 3);
@@ -132,9 +137,12 @@ TEST(MergeDifferential, RandomizedSyntheticSpecs) {
         (s % 2 != 0) ? PerceivedDeps::kGreyBox : PerceivedDeps::kWhiteBox;
     view_options.seed = 500 + s;
     CompiledView generated = GenerateSafeView(workload, view_options);
-    ViewHandle view = service->RegisterView(generated.view()).value();
+    FVL_ASSERT_OK_AND_ASSIGN(ViewHandle view,
+                             service->RegisterView(generated.view()));
 
-    MergedRuns runs = MakeRuns(service, 4, 40 + 10 * (s % 4), 1000 + s);
+    MergedRuns runs;
+    ASSERT_NO_FATAL_FAILURE(
+        MakeRuns(service, 4, 40 + 10 * (s % 4), 1000 + s, &runs));
     combos += static_cast<int>(runs.snapshots.size());
     ViewLabelMode mode = kAllModes[s % 3];
     CheckDifferential(*service, runs, service->default_view(), mode, 80,
@@ -145,8 +153,10 @@ TEST(MergeDifferential, RandomizedSyntheticSpecs) {
 }
 
 TEST(MergeDifferential, MergedLabelsAreBitIdenticalToPerRunSnapshots) {
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
-  MergedRuns runs = MakeRuns(service, 3, 100, 5);
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 3, 100, 5, &runs));
   ASSERT_EQ(runs.merged.num_items(),
             runs.snapshots[0].num_items() + runs.snapshots[1].num_items() +
                 runs.snapshots[2].num_items());
@@ -169,9 +179,11 @@ TEST(MergeDifferential, CrossRunPairsAreIndependent) {
   // — separate executions share no data flow, and the predicate's
   // path-prefix comparisons are only meaningful inside one parse tree.
   PaperExample ex = MakePaperExample();
-  auto service = ProvenanceService::Create(ex.spec).value();
-  ViewHandle grey = service->RegisterView(ex.grey_view).value();
-  MergedRuns runs = MakeRuns(service, 3, 90, 77);
+  FVL_ASSERT_OK_AND_ASSIGN(auto service, ProvenanceService::Create(ex.spec));
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle grey,
+                           service->RegisterView(ex.grey_view));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 3, 90, 77, &runs));
 
   Rng rng(123);
   std::vector<std::pair<RunItem, RunItem>> queries;
@@ -182,8 +194,9 @@ TEST(MergeDifferential, CrossRunPairsAreIndependent) {
     b.item = rng.NextInt(0, runs.merged.num_items(b.run) - 1);
     queries.push_back({a, b});
   }
-  std::vector<bool> answers =
-      service->QueryAcrossRuns(grey, runs.merged, queries).value();
+  FVL_ASSERT_OK_AND_ASSIGN(
+      std::vector<bool> answers,
+      service->QueryAcrossRuns(grey, runs.merged, queries));
   int cross = 0, positives = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     auto [a, b] = queries[q];
@@ -191,12 +204,10 @@ TEST(MergeDifferential, CrossRunPairsAreIndependent) {
       EXPECT_FALSE(answers[q]) << "cross-run query " << q;
       ++cross;
     } else {
-      EXPECT_EQ(answers[q],
-                service
-                    ->Depends(grey, runs.merged.Label(a.run, a.item),
-                              runs.merged.Label(b.run, b.item))
-                    .value())
-          << "query " << q;
+      FVL_ASSERT_OK_AND_ASSIGN(
+          bool direct, service->Depends(grey, runs.merged.Label(a.run, a.item),
+                                        runs.merged.Label(b.run, b.item)));
+      EXPECT_EQ(answers[q], direct) << "query " << q;
       positives += answers[q];
     }
   }
@@ -209,20 +220,25 @@ TEST(MergeDifferential, CrossRunPairsAreIndependent) {
     flat.push_back({runs.merged.GlobalId(a.run, a.item),
                     runs.merged.GlobalId(b.run, b.item)});
   }
-  EXPECT_EQ(service->DependsMany(grey, runs.merged, flat).value(), answers);
+  FVL_ASSERT_OK_AND_ASSIGN(std::vector<bool> flat_answers,
+                           service->DependsMany(grey, runs.merged, flat));
+  EXPECT_EQ(flat_answers, answers);
 }
 
 TEST(MergeDifferential, VisibilitySweepMatchesPerRunSweeps) {
   PaperExample ex = MakePaperExample();
-  auto service = ProvenanceService::Create(ex.spec).value();
-  ViewHandle grey = service->RegisterView(ex.grey_view).value();
-  MergedRuns runs = MakeRuns(service, 3, 80, 11);
+  FVL_ASSERT_OK_AND_ASSIGN(auto service, ProvenanceService::Create(ex.spec));
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle grey,
+                           service->RegisterView(ex.grey_view));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 3, 80, 11, &runs));
 
-  std::vector<bool> merged_sweep =
-      service->VisibilitySweep(grey, runs.merged).value();
+  FVL_ASSERT_OK_AND_ASSIGN(std::vector<bool> merged_sweep,
+                           service->VisibilitySweep(grey, runs.merged));
   std::vector<bool> concatenated;
   for (const ProvenanceIndex& single : runs.snapshots) {
-    std::vector<bool> sweep = service->VisibilitySweep(grey, single).value();
+    FVL_ASSERT_OK_AND_ASSIGN(std::vector<bool> sweep,
+                             service->VisibilitySweep(grey, single));
     concatenated.insert(concatenated.end(), sweep.begin(), sweep.end());
   }
   EXPECT_EQ(merged_sweep, concatenated);
@@ -231,8 +247,10 @@ TEST(MergeDifferential, VisibilitySweepMatchesPerRunSweeps) {
 // ----- Serialization. -----
 
 TEST(MergeSerialization, SelfDescribingRoundTrip) {
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
-  MergedRuns runs = MakeRuns(service, 3, 100, 19);
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 3, 100, 19, &runs));
 
   std::string blob = runs.merged.Serialize();
   Result<ProvenanceIndex> restored = ProvenanceIndex::Deserialize(blob);
@@ -257,15 +275,21 @@ TEST(MergeSerialization, SelfDescribingRoundTrip) {
     queries.push_back({a, b});
   }
   ViewHandle view = service->default_view();
-  EXPECT_EQ(service->QueryAcrossRuns(view, *restored, queries).value(),
-            service->QueryAcrossRuns(view, runs.merged, queries).value());
+  FVL_ASSERT_OK_AND_ASSIGN(std::vector<bool> restored_answers,
+                           service->QueryAcrossRuns(view, *restored, queries));
+  FVL_ASSERT_OK_AND_ASSIGN(
+      std::vector<bool> merged_answers,
+      service->QueryAcrossRuns(view, runs.merged, queries));
+  EXPECT_EQ(restored_answers, merged_answers);
 }
 
 // ----- Errors and edge cases. -----
 
 TEST(MergeErrors, MismatchedSpecificationsRejected) {
-  auto paper = ProvenanceService::Create(MakePaperExample().spec).value();
-  auto bioaid = ProvenanceService::Create(MakeBioAid(2012).spec).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto paper,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  FVL_ASSERT_OK_AND_ASSIGN(auto bioaid,
+                           ProvenanceService::Create(MakeBioAid(2012).spec));
   std::vector<ProvenanceIndex> mixed;
   mixed.push_back(paper
                       ->GenerateLabeledRun(
@@ -281,7 +305,8 @@ TEST(MergeErrors, MismatchedSpecificationsRejected) {
 
   // A merged index of another specification is turned away by the service.
   std::vector<ProvenanceIndex> foreign(1, std::move(mixed[1]));
-  ProvenanceIndex foreign_merged = ProvenanceIndex::Merge(foreign).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex foreign_merged,
+                           ProvenanceIndex::Merge(foreign));
   std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {0, 1}}};
   EXPECT_EQ(paper
                 ->QueryAcrossRuns(paper->default_view(), foreign_merged,
@@ -296,9 +321,12 @@ TEST(MergeErrors, MismatchedSpecificationsRejected) {
 TEST(MergeErrors, ForeignViewHandleReturnsNotFound) {
   // Two services over the *same* specification: indexes are codec-compatible
   // across them, but a handle issued by one must not resolve on the other.
-  auto a = ProvenanceService::Create(MakePaperExample().spec).value();
-  auto b = ProvenanceService::Create(MakePaperExample().spec).value();
-  MergedRuns runs = MakeRuns(a, 2, 60, 9);
+  FVL_ASSERT_OK_AND_ASSIGN(auto a,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  FVL_ASSERT_OK_AND_ASSIGN(auto b,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(a, 2, 60, 9, &runs));
 
   ViewHandle foreign = b->default_view();
   std::vector<std::pair<RunItem, RunItem>> queries = {{{0, 0}, {1, 0}}};
@@ -314,8 +342,10 @@ TEST(MergeErrors, ForeignViewHandleReturnsNotFound) {
 }
 
 TEST(MergeErrors, OutOfRangeAddressesRejected) {
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
-  MergedRuns runs = MakeRuns(service, 2, 60, 13);
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 2, 60, 13, &runs));
   ViewHandle view = service->default_view();
 
   for (auto bad : std::vector<std::pair<RunItem, RunItem>>{
@@ -334,7 +364,8 @@ TEST(MergeErrors, OutOfRangeAddressesRejected) {
 }
 
 TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
   ViewHandle view = service->default_view();
 
   // Merging nothing yields an empty artifact, not an error.
@@ -348,22 +379,27 @@ TEST(MergeEdgeCases, EmptyInputsGiveEmptyResultsNotErrors) {
   // merged indexes.
   std::vector<std::pair<RunItem, RunItem>> no_queries;
   std::vector<std::pair<int, int>> no_flat;
-  EXPECT_TRUE(
-      service->QueryAcrossRuns(view, *empty, no_queries).value().empty());
-  EXPECT_TRUE(service->DependsMany(view, *empty, no_flat).value().empty());
-  EXPECT_TRUE(service->VisibilitySweep(view, *empty).value().empty());
-
-  MergedRuns runs = MakeRuns(service, 2, 60, 21);
-  EXPECT_TRUE(
-      service->QueryAcrossRuns(view, runs.merged, no_queries).value().empty());
-  EXPECT_TRUE(
-      service->DependsMany(view, runs.merged, no_flat).value().empty());
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 2, 60, 21, &runs));
+  for (const ProvenanceIndex* index : {&*empty, &runs.merged}) {
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> across,
+        service->QueryAcrossRuns(view, *index, no_queries));
+    EXPECT_TRUE(across.empty());
+    FVL_ASSERT_OK_AND_ASSIGN(std::vector<bool> flat,
+                             service->DependsMany(view, *index, no_flat));
+    EXPECT_TRUE(flat.empty());
+  }
+  FVL_ASSERT_OK_AND_ASSIGN(std::vector<bool> sweep,
+                           service->VisibilitySweep(view, *empty));
+  EXPECT_TRUE(sweep.empty());
 
   // A zero-run input merges as nothing: it pins no codec, so merging it
   // with a run yields exactly that run.
   std::vector<ProvenanceIndex> with_empty = {*empty, runs.snapshots[0]};
-  EXPECT_EQ(ProvenanceIndex::Merge(with_empty).value().Serialize(),
-            runs.snapshots[0].Serialize());
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex merged_with_empty,
+                           ProvenanceIndex::Merge(with_empty));
+  EXPECT_EQ(merged_with_empty.Serialize(), runs.snapshots[0].Serialize());
 
   // The empty artifact round-trips through serialization.
   Result<ProvenanceIndex> restored =
@@ -395,8 +431,9 @@ TEST(SnapshotDelta, RandomizedFreezePointsReassembleBitIdentically) {
   // golden comparison), and its answers must match the full snapshot's and
   // the ground-truth oracle's across all three label modes.
   PaperExample ex = MakePaperExample();
-  auto service = ProvenanceService::Create(ex.spec).value();
-  ViewHandle grey = service->RegisterView(ex.grey_view).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto service, ProvenanceService::Create(ex.spec));
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle grey,
+                           service->RegisterView(ex.grey_view));
 
   Rng rng(909);
   for (int trial = 0; trial < 6; ++trial) {
@@ -425,19 +462,21 @@ TEST(SnapshotDelta, RandomizedFreezePointsReassembleBitIdentically) {
 
     // Differential: reassembled ≡ full ≡ oracle, every mode, both views.
     for (ViewHandle view : {service->default_view(), grey}) {
-      const CompiledView& compiled =
-          *service->CompiledRegularView(view).value();
-      ProvenanceOracle oracle(session->run(), compiled);
+      FVL_ASSERT_OK_AND_ASSIGN(const CompiledView* compiled,
+                               service->CompiledRegularView(view));
+      ProvenanceOracle oracle(session->run(), *compiled);
       std::vector<std::pair<int, int>> queries;
       for (int q = 0; q < 120; ++q) {
         queries.push_back({rng.NextInt(0, full.num_items() - 1),
                            rng.NextInt(0, full.num_items() - 1)});
       }
       for (ViewLabelMode mode : kAllModes) {
-        std::vector<bool> from_deltas =
-            service->DependsMany(view, *reassembled, queries, mode).value();
-        std::vector<bool> from_full =
-            service->DependsMany(view, full, queries, mode).value();
+        FVL_ASSERT_OK_AND_ASSIGN(
+            std::vector<bool> from_deltas,
+            service->DependsMany(view, *reassembled, queries, mode));
+        FVL_ASSERT_OK_AND_ASSIGN(
+            std::vector<bool> from_full,
+            service->DependsMany(view, full, queries, mode));
         ASSERT_EQ(from_deltas, from_full)
             << "trial " << trial << " mode " << static_cast<int>(mode);
         for (size_t q = 0; q < queries.size(); ++q) {
@@ -452,8 +491,10 @@ TEST(SnapshotDelta, RandomizedFreezePointsReassembleBitIdentically) {
 }
 
 TEST(SnapshotDelta, DeltaErrorsAndEdgeCases) {
-  auto paper = ProvenanceService::Create(MakePaperExample().spec).value();
-  auto bioaid = ProvenanceService::Create(MakeBioAid(2012).spec).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto paper,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  FVL_ASSERT_OK_AND_ASSIGN(auto bioaid,
+                           ProvenanceService::Create(MakeBioAid(2012).spec));
 
   // Empty span: no codec to infer.
   std::vector<ProvenanceIndex> none;
@@ -501,7 +542,7 @@ TEST(SnapshotDelta, EmptyDeltaMidSequenceReassemblesBitIdentically) {
   // deltas are reassembled in memory and after every delta round-trips
   // through Serialize/Deserialize.
   PaperExample ex = MakePaperExample();
-  auto service = ProvenanceService::Create(ex.spec).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto service, ProvenanceService::Create(ex.spec));
 
   Rng rng(4242);
   auto session = service->BeginRun();
@@ -530,7 +571,7 @@ TEST(SnapshotDelta, EmptyDeltaMidSequenceReassemblesBitIdentically) {
         ProvenanceIndex::Deserialize(delta.Serialize());
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_EQ(restored->num_items(), delta.num_items());
-    round_tripped.push_back(std::move(restored).value());
+    round_tripped.push_back(*std::move(restored));
   }
   Result<ProvenanceIndex> from_blobs = ProvenanceIndex::FromDeltas(round_tripped);
   ASSERT_TRUE(from_blobs.ok()) << from_blobs.status().ToString();
@@ -540,8 +581,10 @@ TEST(SnapshotDelta, EmptyDeltaMidSequenceReassemblesBitIdentically) {
 // ----- Streamed k-way merge (CompactStream / MergeRunsStreamed). -----
 
 TEST(CompactStreamTest, BitIdenticalToMaterializedMerge) {
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
-  MergedRuns runs = MakeRuns(service, 4, 110, 23);
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 4, 110, 23, &runs));
 
   std::vector<std::string> blobs;
   for (const ProvenanceIndex& snapshot : runs.snapshots) {
@@ -553,14 +596,16 @@ TEST(CompactStreamTest, BitIdenticalToMaterializedMerge) {
     ASSERT_TRUE(stream.Append(blob).ok());
   }
   EXPECT_EQ(stream.num_runs(), 4);
-  ProvenanceIndex streamed = std::move(stream).Finish().value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex streamed,
+                           std::move(stream).Finish());
 
   // The streaming path and the materialized path are one artifact: byte
   // for byte equal blobs, equal addressing, equal answers.
   EXPECT_EQ(streamed.Serialize(), runs.merged.Serialize());
 
   std::vector<std::string_view> views(blobs.begin(), blobs.end());
-  ProvenanceIndex via_service = service->MergeRunsStreamed(views).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex via_service,
+                           service->MergeRunsStreamed(views));
   EXPECT_EQ(via_service.Serialize(), runs.merged.Serialize());
 
   Rng rng(77);
@@ -572,8 +617,12 @@ TEST(CompactStreamTest, BitIdenticalToMaterializedMerge) {
     queries.push_back({a, b});
   }
   ViewHandle view = service->default_view();
-  EXPECT_EQ(service->QueryAcrossRuns(view, streamed, queries).value(),
-            service->QueryAcrossRuns(view, runs.merged, queries).value());
+  FVL_ASSERT_OK_AND_ASSIGN(std::vector<bool> streamed_answers,
+                           service->QueryAcrossRuns(view, streamed, queries));
+  FVL_ASSERT_OK_AND_ASSIGN(
+      std::vector<bool> merged_answers,
+      service->QueryAcrossRuns(view, runs.merged, queries));
+  EXPECT_EQ(streamed_answers, merged_answers);
 }
 
 TEST(CompactStreamTest, HoldsAtMostOneInputStoreAtATime) {
@@ -582,7 +631,8 @@ TEST(CompactStreamTest, HoldsAtMostOneInputStoreAtATime) {
   // plus the one input being appended (plus bounded move transients) —
   // *independent of the number of runs*, while the materialized path holds
   // every deserialized input simultaneously.
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
 
   auto make_blobs = [&](int num_runs) {
     std::vector<std::string> blobs;
@@ -606,8 +656,12 @@ TEST(CompactStreamTest, HoldsAtMostOneInputStoreAtATime) {
       // Between appends, only the stream's own output store is alive.
       EXPECT_EQ(internal::StoreCountProbe::live(), base + 1);
     }
-    ProvenanceIndex merged = std::move(stream).Finish().value();
-    EXPECT_GT(merged.num_items(), 0);
+    Result<ProvenanceIndex> merged = std::move(stream).Finish();
+    if (!merged.ok()) {
+      ADD_FAILURE() << merged.status().ToString();
+      return -1;
+    }
+    EXPECT_GT(merged->num_items(), 0);
     return internal::StoreCountProbe::peak() - base;
   };
 
@@ -626,17 +680,22 @@ TEST(CompactStreamTest, HoldsAtMostOneInputStoreAtATime) {
     internal::StoreCountProbe::ResetPeak();
     std::vector<ProvenanceIndex> materialized;
     for (const std::string& blob : blobs16) {
-      materialized.push_back(ProvenanceIndex::Deserialize(blob).value());
+      FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex index,
+                               ProvenanceIndex::Deserialize(blob));
+      materialized.push_back(std::move(index));
     }
-    ProvenanceIndex merged = ProvenanceIndex::Merge(materialized).value();
+    FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex merged,
+                             ProvenanceIndex::Merge(materialized));
     EXPECT_GT(merged.num_items(), 0);
     EXPECT_GE(internal::StoreCountProbe::peak() - base, 16);
   }
 }
 
 TEST(CompactStreamTest, ErrorTaxonomyNeverAborts) {
-  auto paper = ProvenanceService::Create(MakePaperExample().spec).value();
-  auto bioaid = ProvenanceService::Create(MakeBioAid(2012).spec).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto paper,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  FVL_ASSERT_OK_AND_ASSIGN(auto bioaid,
+                           ProvenanceService::Create(MakeBioAid(2012).spec));
   std::string paper_blob =
       paper
           ->GenerateLabeledRun(RunGeneratorOptions{.target_items = 60,
@@ -663,7 +722,7 @@ TEST(CompactStreamTest, ErrorTaxonomyNeverAborts) {
   // Codec mismatch against the runs already appended: kInvalidArgument.
   EXPECT_EQ(stream.Append(bioaid_blob).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(stream.num_runs(), 1);
-  ProvenanceIndex merged = std::move(stream).Finish().value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex merged, std::move(stream).Finish());
   EXPECT_EQ(merged.num_runs(), 1);
 
   // Service entry point: same taxonomy, with the failing blob named; a
@@ -692,16 +751,22 @@ TEST(CompactStreamTest, ErrorTaxonomyNeverAborts) {
   // in stored order, byte-identical to Merge over the flattened runs. A
   // one-run merge is that run's FVLIDX3 blob, and an unknown magic is
   // still kMalformedBlob.
-  MergedRuns runs = MakeRuns(paper, 2, 50, 31);
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(paper, 2, 50, 31, &runs));
   CompactStream mixed_formats;
   ASSERT_TRUE(mixed_formats.Append(runs.merged.Serialize()).ok());
   ASSERT_TRUE(mixed_formats.Append(runs.snapshots[0].Serialize()).ok());
   std::vector<ProvenanceIndex> flattened = {
       runs.snapshots[0], runs.snapshots[1], runs.snapshots[0]};
-  EXPECT_EQ(std::move(mixed_formats).Finish().value().Serialize(),
-            ProvenanceIndex::Merge(flattened).value().Serialize());
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex mixed_merge,
+                           std::move(mixed_formats).Finish());
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex flat_merge,
+                           ProvenanceIndex::Merge(flattened));
+  EXPECT_EQ(mixed_merge.Serialize(), flat_merge.Serialize());
   std::vector<std::string_view> one = {paper_blob};
-  EXPECT_EQ(paper->MergeRunsStreamed(one).value().Serialize(), paper_blob);
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex one_run,
+                           paper->MergeRunsStreamed(one));
+  EXPECT_EQ(one_run.Serialize(), paper_blob);
   const std::string unknown = "FVLXYZ9" + runs.merged.Serialize().substr(7);
   CompactStream fresh;
   EXPECT_EQ(fresh.Append(unknown).code(), ErrorCode::kMalformedBlob);
@@ -712,8 +777,10 @@ TEST(CompactStreamTest, ErrorTaxonomyNeverAborts) {
 // vbyte must reject recoverably, and the legacy FVLMRG1 magic must still
 // dispatch into the v1 parser.
 TEST(MergeSerialization, V2MergedTailCorruptionRejected) {
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
-  MergedRuns runs = MakeRuns(service, 2, 50, 37);
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
+  MergedRuns runs;
+  ASSERT_NO_FATAL_FAILURE(MakeRuns(service, 2, 50, 37, &runs));
   std::string blob = runs.merged.Serialize();
   ASSERT_EQ(blob.compare(0, 7, "FVLMRG2"), 0);
   // Header: 8 magic + 3 u64 scalars + one u64 per run, then 5 codec width
@@ -763,14 +830,16 @@ TEST(MergeSerialization, V2MergedTailCorruptionRejected) {
 TEST(MergeEdgeCases, ZeroItemRunsMergeCleanly) {
   // A run frozen before producing anything occupies a (run, ·) slot with
   // zero items; neighbors keep their labels and addressing.
-  auto service = ProvenanceService::Create(MakePaperExample().spec).value();
+  FVL_ASSERT_OK_AND_ASSIGN(auto service,
+                           ProvenanceService::Create(MakePaperExample().spec));
   auto session = service->GenerateLabeledRun(
       RunGeneratorOptions{.target_items = 60, .seed = 2});
   std::vector<ProvenanceIndex> snapshots;
   snapshots.push_back(
       ProvenanceIndexBuilder(service->production_graph()).Build());
   snapshots.push_back(session->Snapshot());
-  ProvenanceIndex merged = ProvenanceIndex::Merge(snapshots).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex merged,
+                           ProvenanceIndex::Merge(snapshots));
   ASSERT_EQ(merged.num_runs(), 2);
   EXPECT_EQ(merged.num_items(0), 0);
   ASSERT_EQ(merged.num_items(1), session->num_items());

@@ -234,7 +234,7 @@ TEST_F(PaperExampleTest, CompressedParseTreeShape) {
   const ParseNode& root = tree.node(tree.root());
   EXPECT_EQ(root.kind, ParseNode::Kind::kModule);
   EXPECT_EQ(root.instance, fig3.run.start_instance());
-  EXPECT_TRUE(root.path.empty());
+  EXPECT_TRUE(tree.Path(root.id).empty());
 
   // A:1, B:1, A:2, B:2, A:3 are flattened under one recursive node.
   int nA1 = tree.NodeOfInstance(fig3.A1);
@@ -249,11 +249,11 @@ TEST_F(PaperExampleTest, CompressedParseTreeShape) {
   EXPECT_EQ(rec.num_children, 5);
 
   // Edge-label paths (paper Figure 14, 1-based (1,3),(1,1,5),(3,2)).
-  EXPECT_EQ(tree.node(nA3).path,
+  EXPECT_EQ(tree.Path(nA3),
             (std::vector<EdgeLabel>{EdgeLabel::Prod(ex_.p[0], 2),
                                     EdgeLabel::Rec(0, 0, 5)}));
   int nC4 = tree.NodeOfInstance(fig3.C4);
-  EXPECT_EQ(tree.node(nC4).path,
+  EXPECT_EQ(tree.Path(nC4),
             (std::vector<EdgeLabel>{EdgeLabel::Prod(ex_.p[0], 2),
                                     EdgeLabel::Rec(0, 0, 5),
                                     EdgeLabel::Prod(ex_.p[2], 1)}));
@@ -265,7 +265,7 @@ TEST_F(PaperExampleTest, CompressedParseTreeShape) {
   const ParseNode& rec2 = tree.node(tree.node(nD1).parent);
   EXPECT_EQ(rec2.kind, ParseNode::Kind::kRecursive);
   EXPECT_EQ(rec2.cycle, 1);
-  EXPECT_EQ(tree.node(nD3).path.back(), EdgeLabel::Rec(1, 0, 3));
+  EXPECT_EQ(tree.Path(nD3).back(), EdgeLabel::Rec(1, 0, 3));
 
   // Lemma 4: depth <= 2|Δ|.
   EXPECT_LE(tree.max_depth(), 2 * 6);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "fvl/core/parse_tree.h"
 #include "fvl/run/provenance_oracle.h"
 #include "fvl/run/run.h"
 #include "fvl/run/run_generator.h"
 #include "fvl/run/view_projection.h"
+#include "fvl/workflow/production_graph.h"
+#include "fvl/workload/bioaid.h"
 #include "fvl/workload/paper_example.h"
 #include "test_util.h"
 
@@ -66,6 +71,111 @@ TEST(Run, CompleteRunHasOnlyAtomicInstances) {
   for (int i = 0; i < run.num_instances(); ++i) {
     if (!run.IsExpanded(i)) {
       EXPECT_FALSE(ex.spec.grammar.is_composite(run.instance(i).type));
+    }
+  }
+}
+
+// Seeded random runs over the paper example (a two-module cycle with nested
+// recursion) and BioAID (112 modules, up to 4 inputs and 7 outputs each).
+constexpr uint64_t kLayoutSeeds[] = {1, 2, 3};
+constexpr int kLayoutRunItems = 3000;
+
+void ExpectPortSpans(const ::fvl::Run& run, int instance) {
+  const Module& module = run.grammar().module(run.instance(instance).type);
+  ASSERT_EQ(static_cast<int>(run.InputItems(instance).size()),
+            module.num_inputs);
+  ASSERT_EQ(static_cast<int>(run.OutputItems(instance).size()),
+            module.num_outputs);
+  for (int item : run.InputItems(instance)) {
+    EXPECT_NE(item, -1) << "instance " << instance;
+  }
+  for (int item : run.OutputItems(instance)) {
+    EXPECT_NE(item, -1) << "instance " << instance;
+  }
+}
+
+// Port slots live in one flat array: every instance's spans have its
+// module's port counts, the Apply that creates an instance wires all of its
+// slots, and a complete run has no -1 slot anywhere.
+TEST(Run, PortSpansHaveModulePortCountsAndEndFullyWired) {
+  PaperExample ex = MakePaperExample();
+  Workload bioaid = MakeBioAid();
+  for (const Grammar* grammar : {&ex.spec.grammar, &bioaid.spec.grammar}) {
+    for (uint64_t seed : kLayoutSeeds) {
+      SCOPED_TRACE(::testing::Message() << grammar->num_modules()
+                                        << " modules, seed " << seed);
+      ::fvl::Run run = GenerateRandomRun(
+          *grammar,
+          RunGeneratorOptions{.target_items = kLayoutRunItems, .seed = seed},
+          [](const ::fvl::Run& current, const DerivationStep* step) {
+            if (step == nullptr) {
+              ExpectPortSpans(current, current.start_instance());
+              return;
+            }
+            for (int c = step->first_child; c < current.num_instances();
+                 ++c) {
+              ExpectPortSpans(current, c);
+            }
+          });
+      ASSERT_TRUE(run.IsComplete());
+      ASSERT_GE(run.num_items(), kLayoutRunItems);
+      for (int i = 0; i < run.num_instances(); ++i) ExpectPortSpans(run, i);
+    }
+  }
+}
+
+// Parse-tree nodes store only the edge from their parent: every node's path
+// is its parent's path plus that edge, its length is the node's depth, and
+// the depth stays within Lemma 4's 2|Δ| bound.
+TEST(CompressedParseTree, PathsChainThroughParentsWithinLemma4Bound) {
+  PaperExample ex = MakePaperExample();
+  Workload bioaid = MakeBioAid();
+  for (const Grammar* grammar : {&ex.spec.grammar, &bioaid.spec.grammar}) {
+    ProductionGraph pg(grammar);
+    int composites = 0;
+    for (ModuleId m = 0; m < grammar->num_modules(); ++m) {
+      composites += grammar->is_composite(m) ? 1 : 0;
+    }
+    for (uint64_t seed : kLayoutSeeds) {
+      SCOPED_TRACE(::testing::Message() << grammar->num_modules()
+                                        << " modules, seed " << seed);
+      CompressedParseTree tree(grammar, &pg);
+      GenerateRandomRun(
+          *grammar,
+          RunGeneratorOptions{.target_items = kLayoutRunItems, .seed = seed},
+          [&](const ::fvl::Run& current, const DerivationStep* step) {
+            if (step == nullptr) {
+              tree.OnStart(current);
+            } else {
+              tree.OnApply(current, *step);
+            }
+          });
+
+      ASSERT_GT(tree.num_nodes(), kLayoutRunItems / 20);
+      std::vector<int> children(tree.num_nodes(), 0);
+      int deepest = 0;
+      for (int id = 0; id < tree.num_nodes(); ++id) {
+        const ParseNode& node = tree.node(id);
+        ASSERT_EQ(node.id, id);
+        std::vector<EdgeLabel> path = tree.Path(id);
+        ASSERT_EQ(static_cast<int>(path.size()), node.depth) << "node " << id;
+        deepest = std::max(deepest, node.depth);
+        if (node.parent < 0) {
+          EXPECT_EQ(id, tree.root());
+          continue;
+        }
+        ASSERT_LT(node.parent, id);
+        ++children[node.parent];
+        std::vector<EdgeLabel> expected = tree.Path(node.parent);
+        expected.push_back(node.edge);
+        EXPECT_EQ(path, expected) << "node " << id;
+      }
+      for (int id = 0; id < tree.num_nodes(); ++id) {
+        EXPECT_EQ(tree.node(id).num_children, children[id]) << "node " << id;
+      }
+      EXPECT_EQ(tree.max_depth(), deepest);
+      EXPECT_GT(tree.max_depth(), 1);
+      EXPECT_LE(tree.max_depth(), 2 * composites);
     }
   }
 }

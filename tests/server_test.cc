@@ -27,6 +27,7 @@
 #include "fvl/util/random.h"
 #include "fvl/workload/bioaid.h"
 #include "fvl/workload/view_generator.h"
+#include "test_util.h"
 
 namespace fvl::net {
 namespace {
@@ -40,15 +41,16 @@ struct TestRig {
   std::unique_ptr<ProvenanceServer> server;
   View view;
 
-  static TestRig Make() {
-    TestRig rig;
+  // Fills *rig; wrap the call in ASSERT_NO_FATAL_FAILURE.
+  static void Make(TestRig* rig) {
     Workload bio = MakeBioAid(2012);
-    rig.view = GenerateSafeView(bio, ViewGeneratorOptions{
-                                           .num_expandable = 8, .seed = 8})
-                   .view();
-    rig.service = ProvenanceService::Create(std::move(bio.spec)).value();
-    rig.server = ProvenanceServer::Start(rig.service).value();
-    return rig;
+    rig->view = GenerateSafeView(bio, ViewGeneratorOptions{
+                                            .num_expandable = 8, .seed = 8})
+                    .view();
+    FVL_ASSERT_OK_AND_ASSIGN(rig->service,
+                             ProvenanceService::Create(std::move(bio.spec)));
+    FVL_ASSERT_OK_AND_ASSIGN(rig->server,
+                             ProvenanceServer::Start(rig->service));
   }
 };
 
@@ -83,28 +85,32 @@ std::vector<std::pair<int, int>> RandomQueries(int num_items, int count,
 // ----- Single-client differential: every op, every mode. -----
 
 TEST(ServerDifferential, WireAnswersBitEqualToDirectCalls) {
-  TestRig rig = TestRig::Make();
+  TestRig rig;
+  ASSERT_NO_FATAL_FAILURE(TestRig::Make(&rig));
   std::vector<std::pair<int, int>> ops =
       RecordOpSequence(*rig.service, /*target_items=*/400, /*seed=*/17);
 
   // Reference: direct in-process replay on the same service.
-  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle direct_view,
+                           rig.service->RegisterView(rig.view));
   auto direct_session = rig.service->BeginRun();
   std::vector<DerivationStep> direct_steps;
   for (const auto& [instance, production] : ops) {
-    direct_steps.push_back(
-        direct_session->Apply(instance, production).value());
+    FVL_ASSERT_OK_AND_ASSIGN(DerivationStep step,
+                             direct_session->Apply(instance, production));
+    direct_steps.push_back(step);
   }
   ProvenanceIndex direct_index = direct_session->Snapshot();
 
   // Wire: same replay through the server.
-  ProvenanceClient client =
-      ProvenanceClient::Connect(rig.server->port()).value();
-  uint64_t view_id = client.RegisterView(rig.view).value();
-  uint64_t session_id = client.BeginRun().value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceClient client,
+                           ProvenanceClient::Connect(rig.server->port()));
+  FVL_ASSERT_OK_AND_ASSIGN(uint64_t view_id, client.RegisterView(rig.view));
+  FVL_ASSERT_OK_AND_ASSIGN(uint64_t session_id, client.BeginRun());
   for (size_t i = 0; i < ops.size(); ++i) {
-    DerivationStep wire_step =
-        client.Apply(session_id, ops[i].first, ops[i].second).value();
+    FVL_ASSERT_OK_AND_ASSIGN(
+        DerivationStep wire_step,
+        client.Apply(session_id, ops[i].first, ops[i].second));
     const DerivationStep& want = direct_steps[i];
     ASSERT_EQ(wire_step.index, want.index) << "step " << i;
     ASSERT_EQ(wire_step.instance, want.instance) << "step " << i;
@@ -113,43 +119,47 @@ TEST(ServerDifferential, WireAnswersBitEqualToDirectCalls) {
     ASSERT_EQ(wire_step.first_item, want.first_item) << "step " << i;
     ASSERT_EQ(wire_step.num_items, want.num_items) << "step " << i;
   }
-  SnapshotInfo snapshot = client.Snapshot(session_id).value();
+  FVL_ASSERT_OK_AND_ASSIGN(SnapshotInfo snapshot, client.Snapshot(session_id));
   ASSERT_EQ(snapshot.num_items, direct_index.num_items());
 
   std::vector<std::pair<int, int>> queries =
       RandomQueries(direct_index.num_items(), 600, 99);
   for (ViewLabelMode mode : kAllModes) {
-    std::vector<bool> direct_batch =
-        rig.service->DependsMany(direct_view, direct_index, queries, mode)
-            .value();
-    std::vector<bool> wire_batch =
-        client.DependsMany(view_id, snapshot.index_id, mode, queries).value();
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> direct_batch,
+        rig.service->DependsMany(direct_view, direct_index, queries, mode));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> wire_batch,
+        client.DependsMany(view_id, snapshot.index_id, mode, queries));
     ASSERT_EQ(wire_batch, direct_batch) << "mode " << static_cast<int>(mode);
 
-    std::vector<bool> direct_sweep =
-        rig.service->VisibilitySweep(direct_view, direct_index, mode).value();
-    std::vector<bool> wire_sweep =
-        client.VisibilitySweep(view_id, snapshot.index_id, mode).value();
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> direct_sweep,
+        rig.service->VisibilitySweep(direct_view, direct_index, mode));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> wire_sweep,
+        client.VisibilitySweep(view_id, snapshot.index_id, mode));
     ASSERT_EQ(wire_sweep, direct_sweep) << "mode " << static_cast<int>(mode);
 
     // Point queries through the coalescing path answer identically too.
     for (int q = 0; q < 40; ++q) {
-      EXPECT_EQ(client
-                    .Depends(view_id, snapshot.index_id, mode,
-                             queries[q].first, queries[q].second)
-                    .value(),
-                direct_batch[q])
-          << "q " << q;
+      FVL_ASSERT_OK_AND_ASSIGN(
+          bool wire_answer,
+          client.Depends(view_id, snapshot.index_id, mode, queries[q].first,
+                         queries[q].second));
+      EXPECT_EQ(wire_answer, direct_batch[q]) << "q " << q;
     }
   }
 }
 
 TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
-  TestRig rig = TestRig::Make();
-  ProvenanceClient client =
-      ProvenanceClient::Connect(rig.server->port()).value();
-  uint64_t view_id = client.RegisterView(rig.view).value();
-  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+  TestRig rig;
+  ASSERT_NO_FATAL_FAILURE(TestRig::Make(&rig));
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceClient client,
+                           ProvenanceClient::Connect(rig.server->port()));
+  FVL_ASSERT_OK_AND_ASSIGN(uint64_t view_id, client.RegisterView(rig.view));
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle direct_view,
+                           rig.service->RegisterView(rig.view));
 
   // Two runs, both replayed over the wire and directly.
   std::vector<uint64_t> wire_index_ids;
@@ -158,13 +168,14 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
   for (int seed : {21, 22}) {
     std::vector<std::pair<int, int>> ops =
         RecordOpSequence(*rig.service, /*target_items=*/200, seed);
-    uint64_t session_id = client.BeginRun().value();
+    FVL_ASSERT_OK_AND_ASSIGN(uint64_t session_id, client.BeginRun());
     auto direct_session = rig.service->BeginRun();
     for (const auto& [instance, production] : ops) {
       ASSERT_TRUE(client.Apply(session_id, instance, production).ok());
       ASSERT_TRUE(direct_session->Apply(instance, production).ok());
     }
-    SnapshotInfo snapshot = client.Snapshot(session_id).value();
+    FVL_ASSERT_OK_AND_ASSIGN(SnapshotInfo snapshot,
+                             client.Snapshot(session_id));
     wire_index_ids.push_back(snapshot.index_id);
     ProvenanceIndex direct_index = direct_session->Snapshot();
     ASSERT_EQ(snapshot.num_items, direct_index.num_items());
@@ -172,10 +183,11 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
     blobs.push_back(direct_index.Serialize());
   }
 
-  MergeInfo merged = client.MergeRuns(wire_index_ids).value();
+  FVL_ASSERT_OK_AND_ASSIGN(MergeInfo merged, client.MergeRuns(wire_index_ids));
   EXPECT_EQ(merged.num_runs, 2);
   std::vector<std::string_view> views(blobs.begin(), blobs.end());
-  ProvenanceIndex direct_merged = rig.service->MergeRunsStreamed(views).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex direct_merged,
+                           rig.service->MergeRunsStreamed(views));
   ASSERT_EQ(merged.total_items, direct_merged.num_items());
 
   Rng rng(7);
@@ -188,13 +200,13 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
     queries.push_back({a, b});
   }
   for (ViewLabelMode mode : kAllModes) {
-    std::vector<bool> direct_answers =
-        rig.service
-            ->QueryAcrossRuns(direct_view, direct_merged, queries, mode)
-            .value();
-    std::vector<bool> wire_answers =
-        client.QueryAcrossRuns(view_id, merged.merged_id, mode, queries)
-            .value();
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> direct_answers,
+        rig.service->QueryAcrossRuns(
+            direct_view, direct_merged, queries, mode));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> wire_answers,
+        client.QueryAcrossRuns(view_id, merged.merged_id, mode, queries));
     ASSERT_EQ(wire_answers, direct_answers)
         << "mode " << static_cast<int>(mode);
   }
@@ -204,30 +216,34 @@ TEST(ServerDifferential, MergeAndQueryAcrossRunsMatchesDirect) {
 // every query op accepts every id — flat-id batches, point queries and
 // sweeps on a merged id, and (run, item) queries on a snapshot id.
 TEST(ServerDifferential, EveryQueryOpAcceptsEveryIndexId) {
-  TestRig rig = TestRig::Make();
-  ProvenanceClient client =
-      ProvenanceClient::Connect(rig.server->port()).value();
-  uint64_t view_id = client.RegisterView(rig.view).value();
-  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+  TestRig rig;
+  ASSERT_NO_FATAL_FAILURE(TestRig::Make(&rig));
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceClient client,
+                           ProvenanceClient::Connect(rig.server->port()));
+  FVL_ASSERT_OK_AND_ASSIGN(uint64_t view_id, client.RegisterView(rig.view));
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle direct_view,
+                           rig.service->RegisterView(rig.view));
 
   std::vector<uint64_t> wire_index_ids;
   std::vector<ProvenanceIndex> direct_indexes;
   for (int seed : {31, 32}) {
     std::vector<std::pair<int, int>> ops =
         RecordOpSequence(*rig.service, /*target_items=*/180, seed);
-    uint64_t session_id = client.BeginRun().value();
+    FVL_ASSERT_OK_AND_ASSIGN(uint64_t session_id, client.BeginRun());
     auto direct_session = rig.service->BeginRun();
     for (const auto& [instance, production] : ops) {
       ASSERT_TRUE(client.Apply(session_id, instance, production).ok());
       ASSERT_TRUE(direct_session->Apply(instance, production).ok());
     }
-    wire_index_ids.push_back(client.Snapshot(session_id).value().index_id);
+    FVL_ASSERT_OK_AND_ASSIGN(SnapshotInfo snapshot,
+                             client.Snapshot(session_id));
+    wire_index_ids.push_back(snapshot.index_id);
     direct_indexes.push_back(direct_session->Snapshot());
   }
-  MergeInfo merged = client.MergeRuns(wire_index_ids).value();
+  FVL_ASSERT_OK_AND_ASSIGN(MergeInfo merged, client.MergeRuns(wire_index_ids));
   for (uint64_t id : wire_index_ids) EXPECT_NE(merged.merged_id, id);
-  ProvenanceIndex direct_merged =
-      ProvenanceIndex::Merge(direct_indexes).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceIndex direct_merged,
+                           ProvenanceIndex::Merge(direct_indexes));
   ASSERT_EQ(merged.total_items, direct_merged.num_items());
 
   std::vector<std::pair<int, int>> flat =
@@ -240,31 +256,33 @@ TEST(ServerDifferential, EveryQueryOpAcceptsEveryIndexId) {
                          {0, rng.NextInt(0, run0.num_items() - 1)}});
   }
   for (ViewLabelMode mode : kAllModes) {
-    std::vector<bool> direct_batch =
-        rig.service->DependsMany(direct_view, direct_merged, flat, mode)
-            .value();
-    ASSERT_EQ(
-        client.DependsMany(view_id, merged.merged_id, mode, flat).value(),
-        direct_batch)
-        << "mode " << static_cast<int>(mode);
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> direct_batch,
+        rig.service->DependsMany(direct_view, direct_merged, flat, mode));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> wire_batch,
+        client.DependsMany(view_id, merged.merged_id, mode, flat));
+    ASSERT_EQ(wire_batch, direct_batch) << "mode " << static_cast<int>(mode);
     for (int q = 0; q < 30; ++q) {
-      EXPECT_EQ(client
-                    .Depends(view_id, merged.merged_id, mode, flat[q].first,
-                             flat[q].second)
-                    .value(),
-                direct_batch[q])
-          << "q " << q;
+      FVL_ASSERT_OK_AND_ASSIGN(
+          bool wire_answer, client.Depends(view_id, merged.merged_id, mode,
+                                           flat[q].first, flat[q].second));
+      EXPECT_EQ(wire_answer, direct_batch[q]) << "q " << q;
     }
-    ASSERT_EQ(client.VisibilitySweep(view_id, merged.merged_id, mode).value(),
-              rig.service->VisibilitySweep(direct_view, direct_merged, mode)
-                  .value())
-        << "mode " << static_cast<int>(mode);
-    ASSERT_EQ(client
-                  .QueryAcrossRuns(view_id, wire_index_ids[0], mode,
-                                   addressed)
-                  .value(),
-              rig.service->QueryAcrossRuns(direct_view, run0, addressed, mode)
-                  .value())
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> wire_sweep,
+        client.VisibilitySweep(view_id, merged.merged_id, mode));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> direct_sweep,
+        rig.service->VisibilitySweep(direct_view, direct_merged, mode));
+    ASSERT_EQ(wire_sweep, direct_sweep) << "mode " << static_cast<int>(mode);
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> wire_across,
+        client.QueryAcrossRuns(view_id, wire_index_ids[0], mode, addressed));
+    FVL_ASSERT_OK_AND_ASSIGN(
+        std::vector<bool> direct_across,
+        rig.service->QueryAcrossRuns(direct_view, run0, addressed, mode));
+    ASSERT_EQ(wire_across, direct_across)
         << "mode " << static_cast<int>(mode);
   }
 }
@@ -272,12 +290,14 @@ TEST(ServerDifferential, EveryQueryOpAcceptsEveryIndexId) {
 // ----- N threaded clients, one recorded sequence each. -----
 
 TEST(ServerConcurrency, ThreadedClientsReplayBitEqual) {
-  TestRig rig = TestRig::Make();
+  TestRig rig;
+  ASSERT_NO_FATAL_FAILURE(TestRig::Make(&rig));
   std::vector<std::pair<int, int>> ops =
       RecordOpSequence(*rig.service, /*target_items=*/250, /*seed=*/5);
 
   // Reference answers, computed once without the network.
-  ViewHandle direct_view = rig.service->RegisterView(rig.view).value();
+  FVL_ASSERT_OK_AND_ASSIGN(ViewHandle direct_view,
+                           rig.service->RegisterView(rig.view));
   auto direct_session = rig.service->BeginRun();
   for (const auto& [instance, production] : ops) {
     ASSERT_TRUE(direct_session->Apply(instance, production).ok());
@@ -285,11 +305,10 @@ TEST(ServerConcurrency, ThreadedClientsReplayBitEqual) {
   ProvenanceIndex direct_index = direct_session->Snapshot();
   std::vector<std::pair<int, int>> queries =
       RandomQueries(direct_index.num_items(), 256, 321);
-  std::vector<bool> want =
-      rig.service
-          ->DependsMany(direct_view, direct_index,
-                        queries, ViewLabelMode::kQueryEfficient)
-          .value();
+  FVL_ASSERT_OK_AND_ASSIGN(
+      std::vector<bool> want,
+      rig.service->DependsMany(
+          direct_view, direct_index, queries, ViewLabelMode::kQueryEfficient));
 
   constexpr int kClients = 6;
   std::vector<std::thread> threads;
@@ -346,9 +365,10 @@ TEST(ServerConcurrency, ThreadedClientsReplayBitEqual) {
 // ----- Lifecycle hostility. -----
 
 TEST(ServerLifecycle, AbruptDisconnectMidFrameIsHarmless) {
-  TestRig rig = TestRig::Make();
+  TestRig rig;
+  ASSERT_NO_FATAL_FAILURE(TestRig::Make(&rig));
   for (int round = 0; round < 8; ++round) {
-    Socket raw = TcpConnect(rig.server->port()).value();
+    FVL_ASSERT_OK_AND_ASSIGN(Socket raw, TcpConnect(rig.server->port()));
     // A declared 64-byte frame, delivered only halfway, then gone.
     std::string partial;
     AppendU64(&partial, 64);
@@ -356,13 +376,15 @@ TEST(ServerLifecycle, AbruptDisconnectMidFrameIsHarmless) {
     ASSERT_TRUE(WriteAll(raw, partial).ok());
     raw.Close();
   }
-  ProvenanceClient client =
-      ProvenanceClient::Connect(rig.server->port()).value();
-  EXPECT_EQ(client.Ping().value(), kProtocolVersion);
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceClient client,
+                           ProvenanceClient::Connect(rig.server->port()));
+  FVL_ASSERT_OK_AND_ASSIGN(uint64_t version, client.Ping());
+  EXPECT_EQ(version, kProtocolVersion);
 }
 
 TEST(ServerLifecycle, StopDrainsInFlightRequests) {
-  TestRig rig = TestRig::Make();
+  TestRig rig;
+  ASSERT_NO_FATAL_FAILURE(TestRig::Make(&rig));
   // Hammer the server from several threads while Stop races in: every
   // response is either a clean answer or a clean transport error — a torn
   // frame or a wrong answer fails, a refused/cut connection does not.
@@ -398,9 +420,10 @@ TEST(ServerLifecycle, StopDrainsInFlightRequests) {
 }
 
 TEST(ServerLifecycle, UnknownIdsAreNotFoundNotFatal) {
-  TestRig rig = TestRig::Make();
-  ProvenanceClient client =
-      ProvenanceClient::Connect(rig.server->port()).value();
+  TestRig rig;
+  ASSERT_NO_FATAL_FAILURE(TestRig::Make(&rig));
+  FVL_ASSERT_OK_AND_ASSIGN(ProvenanceClient client,
+                           ProvenanceClient::Connect(rig.server->port()));
   EXPECT_EQ(client.Apply(999, 0, 0).code(), ErrorCode::kNotFound);
   EXPECT_EQ(client.Snapshot(999).code(), ErrorCode::kNotFound);
   EXPECT_EQ(client
@@ -410,7 +433,8 @@ TEST(ServerLifecycle, UnknownIdsAreNotFoundNotFatal) {
   std::vector<uint64_t> ids = {12345};
   EXPECT_EQ(client.MergeRuns(ids).code(), ErrorCode::kNotFound);
   // The connection survived every rejection.
-  EXPECT_EQ(client.Ping().value(), kProtocolVersion);
+  FVL_ASSERT_OK_AND_ASSIGN(uint64_t version, client.Ping());
+  EXPECT_EQ(version, kProtocolVersion);
 }
 
 }  // namespace

@@ -3,13 +3,31 @@
 #ifndef FVL_TESTS_TEST_UTIL_H_
 #define FVL_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fvl/run/run.h"
 #include "fvl/run/run_generator.h"
 #include "fvl/util/boolean_matrix.h"
 #include "fvl/util/check.h"
+
+// Declares `lhs` from the value of a Result-returning expression. On an
+// error the current test fails with the error's status and the enclosing
+// void function returns; Result::value() would instead abort the whole test
+// binary and leave every later test unrun. In a helper, check the caller
+// side with ASSERT_NO_FATAL_FAILURE.
+#define FVL_ASSERT_OK_AND_ASSIGN(lhs, ...)                                 \
+  FVL_ASSERT_OK_AND_ASSIGN_IMPL_(FVL_TEST_CONCAT_(fvl_result_, __LINE__), \
+                                 lhs, __VA_ARGS__)
+#define FVL_ASSERT_OK_AND_ASSIGN_IMPL_(result, lhs, ...) \
+  auto result = (__VA_ARGS__);                           \
+  ASSERT_TRUE(result.ok()) << result.status().ToString(); \
+  lhs = std::move(result).value()
+#define FVL_TEST_CONCAT_(a, b) FVL_TEST_CONCAT_INNER_(a, b)
+#define FVL_TEST_CONCAT_INNER_(a, b) a##b
 
 namespace fvl::testing {
 
